@@ -59,7 +59,7 @@ func main() {
 		faasflow.WithSeed(*seed),
 	)
 	var observer *faasflow.Observer
-	if *report {
+	if *report || *tracePath != "" {
 		observer = faasflow.NewObserver()
 		cluster.AttachObserver(observer)
 	}
@@ -67,10 +67,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faasflow:", err)
 		os.Exit(1)
-	}
-
-	if *tracePath != "" {
-		app.StartTrace()
 	}
 
 	fmt.Printf("workflow %s: %d tasks, %.2f MB per invocation, %d groups, %.0f%% payload local\n",
@@ -82,17 +78,23 @@ func main() {
 		fmt.Fprintln(os.Stderr, "faasflow:", err)
 		os.Exit(1)
 	}
-	var stats faasflow.Stats
+	// Open-loop runs and argument-free closed loops absorb cold starts with
+	// one unrecorded warm-up invocation.
+	load := faasflow.Load{N: *n, PerMinute: *rate, Args: args}
 	switch {
 	case *rate > 0:
 		fmt.Printf("\nopen loop: %d invocations at %.1f/min (%s, faastore=%v)\n", *n, *rate, m, *faastore)
-		stats = app.RunOpenLoop(*rate, *n)
+		load.Warmup = 1
 	case args != nil:
 		fmt.Printf("\nclosed loop with args %v: %d invocations (%s)\n", args, *n, m)
-		stats = app.RunWithArgs(args, *n)
 	default:
 		fmt.Printf("\nclosed loop: %d invocations (%s, faastore=%v)\n", *n, m, *faastore)
-		stats = app.Run(*n)
+		load.Warmup = 1
+	}
+	stats, err := app.Run(load)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "faasflow:", err)
+		os.Exit(1)
 	}
 	fmt.Printf("latency: mean=%v p50=%v p99=%v max=%v\n", stats.Mean, stats.P50, stats.P99, stats.Max)
 	fmt.Printf("critical-path exec: %v (scheduling+data overhead: mean %v)\n",
@@ -100,7 +102,7 @@ func main() {
 	if stats.Timeouts > 0 {
 		fmt.Printf("timeouts: %.1f%% of invocations hit the 60s deadline\n", stats.Timeouts*100)
 	}
-	if observer != nil {
+	if *report {
 		text, err := observer.ReportText()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faasflow:", err)
@@ -109,7 +111,7 @@ func main() {
 		fmt.Printf("\n%s", text)
 	}
 	if *tracePath != "" {
-		data, err := app.TraceJSON()
+		data, err := observer.ChromeTrace()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faasflow:", err)
 			os.Exit(1)

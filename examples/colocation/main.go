@@ -34,7 +34,11 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			solo[name] = app.Run(20)
+			st, err := app.Run(faasflow.Load{N: 20, Warmup: 1})
+			if err != nil {
+				log.Fatal(err)
+			}
+			solo[name] = st.Stats
 		}
 
 		// Co-run: all four tenants share one cluster, one closed-loop

@@ -27,7 +27,11 @@ func run(mode faasflow.Mode, faastore bool) (*faasflow.Observer, faasflow.Stats)
 	if err != nil {
 		log.Fatal(err)
 	}
-	return o, app.Run(10)
+	st, err := app.Run(faasflow.Load{N: 10, Warmup: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return o, st.Stats
 }
 
 func main() {

@@ -64,5 +64,9 @@ func run(wf *faasflow.Workflow, mode faasflow.Mode, faastore bool, storageMB flo
 	if err != nil {
 		log.Fatal(err)
 	}
-	return app.RunOpenLoop(6, 30)
+	st, err := app.Run(faasflow.Load{N: 30, Warmup: 1, PerMinute: 6})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return st.Stats
 }

@@ -14,8 +14,9 @@ import (
 // outputs so a node death recovers by fetching a surviving replica instead
 // of re-executing producers.
 
-// Durability tunes the durable-execution layer. The zero value enables
-// journaling with default I/O costs and leaves replication off.
+// Durability tunes the durable-execution layer (see WithDurability). The
+// zero value enables journaling with default I/O costs and leaves
+// replication off.
 type Durability struct {
 	// SyncLatency is the journal's per-fsync cost (default 2ms).
 	SyncLatency time.Duration
@@ -31,60 +32,6 @@ type Durability struct {
 	// RepairInterval is the delay before a dead shard's surviving keys are
 	// re-replicated back up to the factor (default 10ms).
 	RepairInterval time.Duration
-	// Recovery tunes the fault-recovery layer, exactly as in
-	// DeployWithRecovery; the zero value takes its defaults.
-	Recovery Recovery
-	// FastPath enables the data-plane fast path for this deployment, as in
-	// DeployFast. Direct passing is automatically skipped while
-	// ReplicationFactor > 1 (durability requires the replicated store hop);
-	// memo hits still commit journal records so crash replay skips them.
-	FastPath FastPath
-}
-
-// DeployDurable is DeployWithRecovery plus durable execution: every
-// completed step commits a journal record before its successors observe
-// it, CrashEngine/RestartEngine (or an injected EngineDown fault) recover
-// by replaying the journal and re-dispatching only the uncommitted cut,
-// and — when ReplicationFactor > 1 — FaaStore outputs survive node deaths
-// on replica shards.
-func (c *Cluster) DeployDurable(wf *Workflow, mode Mode, dur Durability) (*App, error) {
-	rec := dur.Recovery
-	if rec.TaskTimeout == 0 {
-		rec.TaskTimeout = 30 * time.Second
-	}
-	if rec.BackoffBase == 0 {
-		rec.BackoffBase = 200 * time.Millisecond
-	}
-	if rec.BackoffMax == 0 {
-		rec.BackoffMax = 5 * time.Second
-	}
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
-	if dur.ReplicationFactor > 1 {
-		c.tb.Runtime.Store.SetReplication(dur.ReplicationFactor, dur.RepairInterval)
-		nodes := c.tb.Runtime.Nodes
-		c.tb.Runtime.Store.SetAlive(func(n string) bool {
-			node := nodes[n]
-			return node == nil || !node.Failed()
-		})
-	}
-	opts := engine.Options{
-		Mode:        m,
-		Data:        engine.DataStore,
-		Journal:     journal.New(c.tb.Env, journal.Config{SyncLatency: dur.SyncLatency, BatchWindow: dur.BatchWindow}),
-		TaskTimeout: rec.TaskTimeout,
-		BackoffBase: rec.BackoffBase,
-		BackoffMax:  rec.BackoffMax,
-		MaxReissues: rec.MaxReissues,
-		FastPath:    dur.FastPath,
-	}
-	dep, err := c.tb.Deploy(wf.bench, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: dep, opts: opts}, nil
 }
 
 // Durable reports whether the app was deployed with a journal.

@@ -9,7 +9,7 @@ import (
 // every invocation commits one journal record, readable back in order.
 func TestDeployDurableJournalsSteps(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployDurable(Benchmark("IR"), WorkerSP, Durability{})
+	app, err := c.Deploy(Benchmark("IR"), WorkerSP, WithDurability(Durability{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,12 +17,12 @@ func TestDeployDurableJournalsSteps(t *testing.T) {
 		t.Fatal("durable deploy reports Durable() == false")
 	}
 	const n = 3
-	stats := app.Run(n)
+	stats := mustRun(t, app, Load{N: n, Warmup: 1})
 	if stats.Count != n {
 		t.Fatalf("completed %d of %d", stats.Count, n)
 	}
 	ds := app.DurableStats()
-	// Run issues a warm-up invocation before the measured n.
+	// The load's warm-up invocation commits too.
 	tasks := int64(Benchmark("IR").Tasks())
 	if want := tasks * (n + 1); ds.Journal.Committed != want {
 		t.Fatalf("journal committed %d records, want %d", ds.Journal.Committed, want)
@@ -44,7 +44,7 @@ func TestDeployDurableJournalsSteps(t *testing.T) {
 // restart, and lose nothing.
 func TestEngineDownFaultPublic(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployDurable(Benchmark("IR"), WorkerSP, Durability{})
+	app, err := c.Deploy(Benchmark("IR"), WorkerSP, WithDurability(Durability{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestEngineDownFaultPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 8
-	stats := app.Run(n)
+	stats := mustRun(t, app, Load{N: n, Warmup: 1})
 	if stats.Count != n {
 		t.Fatalf("completed %d of %d invocations", stats.Count, n)
 	}
@@ -84,10 +84,9 @@ func TestEngineDownWithoutDurableAppRejected(t *testing.T) {
 // producer re-executions and zero lost inputs.
 func TestReplicatedDeploySurvivesNodeDeath(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployDurable(Benchmark("IR"), WorkerSP, Durability{
-		ReplicationFactor: 2,
-		Recovery:          Recovery{TaskTimeout: 20 * time.Second},
-	})
+	app, err := c.Deploy(Benchmark("IR"), WorkerSP,
+		WithDurability(Durability{ReplicationFactor: 2}),
+		WithRecovery(Recovery{TaskTimeout: 20 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestReplicatedDeploySurvivesNodeDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 10
-	stats := app.Run(n)
+	stats := mustRun(t, app, Load{N: n, Warmup: 1})
 	if stats.Count != n {
 		t.Fatalf("completed %d of %d invocations", stats.Count, n)
 	}

@@ -88,7 +88,9 @@ func ExampleDiffSnapshots() {
 		if err != nil {
 			panic(err)
 		}
-		app.Run(5)
+		if _, err := app.Run(faasflow.Load{N: 5, Warmup: 1}); err != nil {
+			panic(err)
+		}
 		return o.Snapshot(map[string]string{"system": "WorkerSP"})
 	}
 	diff := faasflow.DiffSnapshots(capture(), capture())
@@ -97,8 +99,8 @@ func ExampleDiffSnapshots() {
 	// regressions: 0
 }
 
-// Switch steps route per invocation when arguments are supplied.
-func ExampleApp_RunWithArgs() {
+// Switch steps route per invocation when the load carries arguments.
+func ExampleApp_Run_withArgs() {
 	src := `
 name: router
 steps:
@@ -127,8 +129,14 @@ steps:
 	if err != nil {
 		panic(err)
 	}
-	premium := app.RunWithArgs(map[string]any{"tier": "premium"}, 3)
-	free := app.RunWithArgs(map[string]any{"tier": "free"}, 3)
+	premium, err := app.Run(faasflow.Load{N: 3, Args: map[string]any{"tier": "premium"}})
+	if err != nil {
+		panic(err)
+	}
+	free, err := app.Run(faasflow.Load{N: 3, Args: map[string]any{"tier": "free"}})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(premium.Mean > free.Mean)
 	// Output:
 	// true

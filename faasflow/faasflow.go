@@ -16,8 +16,13 @@
 //
 //	cluster := faasflow.NewCluster(faasflow.WithFaaStore(true))
 //	app, _ := cluster.Deploy(wf, faasflow.WorkerSP)
-//	stats := app.Run(100)
+//	stats, _ := app.Run(faasflow.Load{N: 100, Warmup: 1})
 //	fmt.Println(stats.Mean, stats.P99)
+//
+// Features are options on the one Deploy — WithRecovery, WithDurability,
+// WithFastPath, WithFederation, in any combination — and every kind of
+// traffic (closed or open loop, arguments, deadlines, tenants, admission)
+// is a Load for the one Run.
 //
 // Workflows can equally be compiled from WDL YAML/JSON definitions
 // (WorkflowFromWDL) or taken from the paper's eight benchmarks
@@ -224,45 +229,12 @@ func fromParsed(parsed *wdl.Workflow, fns map[string]FunctionSpec) (*Workflow, e
 type App struct {
 	cluster *Cluster
 	dep     *harness.Deployment
-	tracer  *engine.Tracer
 	// opts records the deployment options so what-if analysis can replay
 	// this exact configuration on a fresh testbed.
 	opts engine.Options
-	// fed is non-nil for DeployFederated apps: dep is then member 0 of the
-	// federation and invocations must route through fed (see federation.go).
+	// fed is non-nil for apps deployed WithFederation: dep is then member 0
+	// of the federation and invocations route through fed (see run.go).
 	fed *federation.Federation
-}
-
-// StartTrace begins recording per-executor phase spans (container acquire,
-// input fetch, execute, output store) for subsequent runs.
-func (a *App) StartTrace() {
-	a.tracer = engine.NewTracer()
-	a.dep.Engine.SetTracer(a.tracer)
-}
-
-// TraceJSON exports the recorded trace in Chrome trace format (load it in
-// chrome://tracing or Perfetto). It errors when StartTrace was not called.
-func (a *App) TraceJSON() ([]byte, error) {
-	if a.tracer == nil {
-		return nil, fmt.Errorf("faasflow: StartTrace was not called")
-	}
-	return a.tracer.ChromeJSON()
-}
-
-// Deploy schedules the workflow onto the cluster (Algorithm 1 grouping
-// with FaaStore quota reclamation) and prepares it for invocation under
-// the chosen pattern.
-func (c *Cluster) Deploy(wf *Workflow, mode Mode) (*App, error) {
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
-	opts := engine.Options{Mode: m, Data: engine.DataStore}
-	dep, err := c.tb.Deploy(wf.bench, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: dep, opts: opts}, nil
 }
 
 // Stats summarizes a batch of invocations.
@@ -284,50 +256,6 @@ func statsOf(rec *metrics.Recorder) Stats {
 		Max:      rec.Max(),
 		Timeouts: rec.TimeoutRate(harness.Timeout),
 	}
-}
-
-// Run sends n closed-loop invocations (each starts when the previous
-// completes) after one warm-up pass and returns latency statistics.
-func (a *App) Run(n int) Stats {
-	rec := harness.ClosedLoop(a.cluster.tb.Env, a.dep.Engine, 1, n)
-	return statsOf(rec)
-}
-
-// RunWithArgs sends n closed-loop invocations carrying input arguments;
-// switch steps evaluate their conditions against the arguments and run
-// only the matching branch.
-func (a *App) RunWithArgs(args map[string]any, n int) Stats {
-	rec := &metrics.Recorder{}
-	remaining := n
-	var next func()
-	next = func() {
-		if remaining == 0 {
-			return
-		}
-		remaining--
-		a.dep.Engine.InvokeArgs(args, func(r engine.Result) {
-			rec.Add(r.Latency())
-			next()
-		})
-	}
-	next()
-	a.cluster.tb.Env.Run()
-	return statsOf(rec)
-}
-
-// RunOpenLoop sends n invocations at a fixed arrival rate regardless of
-// completions; latencies clamp at the 60 s deadline.
-func (a *App) RunOpenLoop(perMinute float64, n int) Stats {
-	rec := harness.OpenLoop(a.cluster.tb.Env, a.dep.Engine, perMinute, 1, n)
-	return statsOf(rec)
-}
-
-// RunOpenLoopPoisson is RunOpenLoop with Poisson (exponential
-// inter-arrival) traffic instead of a fixed interval. Deterministic for a
-// given seed.
-func (a *App) RunOpenLoopPoisson(perMinute float64, n int, seed uint64) Stats {
-	rec := harness.OpenLoopPoisson(a.cluster.tb.Env, a.dep.Engine, perMinute, 1, n, seed)
-	return statsOf(rec)
 }
 
 // RunConcurrently drives one closed-loop client per app simultaneously —

@@ -68,6 +68,16 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// mustRun runs the load and fails the test on error.
+func mustRun(t *testing.T, app *App, l Load) RunStats {
+	t.Helper()
+	st, err := app.Run(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestDeployAndRun(t *testing.T) {
 	wf := buildPipeline(t)
 	c := NewCluster(WithWorkers(3), WithFaaStore(true), WithSeed(1))
@@ -75,7 +85,7 @@ func TestDeployAndRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := app.Run(10)
+	stats := mustRun(t, app, Load{N: 10, Warmup: 1})
 	if stats.Count != 10 {
 		t.Fatalf("Count = %d", stats.Count)
 	}
@@ -120,7 +130,7 @@ func TestWorkerSPFasterThanMasterSP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return app.Run(20)
+		return mustRun(t, app, Load{N: 20, Warmup: 1}).Stats
 	}
 	w, m := run(WorkerSP), run(MasterSP)
 	if w.Mean >= m.Mean {
@@ -135,7 +145,7 @@ func TestOpenLoopStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := app.RunOpenLoop(30, 20)
+	stats := mustRun(t, app, Load{N: 20, Warmup: 1, PerMinute: 30})
 	if stats.Count != 20 {
 		t.Fatalf("Count = %d", stats.Count)
 	}
@@ -194,7 +204,7 @@ steps:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats := app.Run(3); stats.Count != 3 {
+	if stats := mustRun(t, app, Load{N: 3, Warmup: 1}); stats.Count != 3 {
 		t.Fatal("WDL workflow did not run")
 	}
 }
@@ -225,11 +235,11 @@ func TestRefresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Run(3)
+	mustRun(t, app, Load{N: 3, Warmup: 1})
 	if err := app.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	if stats := app.Run(2); stats.Count != 2 {
+	if stats := mustRun(t, app, Load{N: 2, Warmup: 1}); stats.Count != 2 {
 		t.Fatal("post-refresh run failed")
 	}
 }
@@ -241,7 +251,7 @@ func TestBandwidthOptionMatters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return app.Run(5)
+		return mustRun(t, app, Load{N: 5, Warmup: 1}).Stats
 	}
 	slow, fast := run(10), run(100)
 	if slow.Mean <= fast.Mean {
@@ -285,8 +295,8 @@ steps:
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdStats := app.RunWithArgs(map[string]any{"q": 1080.0}, 5)
-	sdStats := app.RunWithArgs(map[string]any{"q": 480.0}, 5)
+	hdStats := mustRun(t, app, Load{N: 5, Args: map[string]any{"q": 1080.0}})
+	sdStats := mustRun(t, app, Load{N: 5, Args: map[string]any{"q": 480.0}})
 	if hdStats.Count != 5 || sdStats.Count != 5 {
 		t.Fatalf("counts = %d/%d", hdStats.Count, sdStats.Count)
 	}
@@ -312,7 +322,7 @@ func TestUtilizationSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Run(5)
+	mustRun(t, app, Load{N: 5, Warmup: 1})
 	u := c.Utilization()
 	if u.ColdStarts == 0 || u.WarmReuses == 0 {
 		t.Fatalf("container counters empty: %+v", u)
@@ -322,6 +332,37 @@ func TestUtilizationSnapshot(t *testing.T) {
 	}
 	if u.StoreLocalHits == 0 {
 		t.Fatal("FaaStore saw no local hits for a fully-local workflow")
+	}
+}
+
+// Utilization read while tasks are executing must not disturb them: every
+// invocation completes with exactly the latencies of an unprobed run.
+func TestUtilizationMidRunLeavesRunUntouched(t *testing.T) {
+	run := func(probe bool) (RunStats, Utilization, Utilization) {
+		c := NewCluster(WithSeed(1))
+		app, err := c.Deploy(Benchmark("Vid"), WorkerSP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mid Utilization
+		if probe {
+			for _, at := range []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second, 3 * time.Second} {
+				c.tb.Env.Schedule(at, func() { mid = c.Utilization() })
+			}
+		}
+		st := mustRun(t, app, Load{N: 5, Warmup: 1})
+		return st, mid, c.Utilization()
+	}
+	plain, _, plainEnd := run(false)
+	probed, mid, probedEnd := run(true)
+	if mid.CPUBusy <= 0 || mid.CPUBusy >= probedEnd.CPUBusy {
+		t.Fatalf("mid-run CPUBusy %v not between 0 and the final %v", mid.CPUBusy, probedEnd.CPUBusy)
+	}
+	if probed != plain {
+		t.Fatalf("probed run %+v differs from unprobed %+v", probed, plain)
+	}
+	if probedEnd != plainEnd {
+		t.Fatalf("probed utilization %+v differs from unprobed %+v", probedEnd, plainEnd)
 	}
 }
 
@@ -337,7 +378,7 @@ func TestObserverReportAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app.Run(3)
+	mustRun(t, app, Load{N: 3, Warmup: 1})
 	if o.Events() == 0 {
 		t.Fatal("attached observer saw nothing")
 	}
@@ -346,7 +387,7 @@ func TestObserverReportAndTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Run(3) does one warm-up pass plus 3 measured invocations.
+	// One warm-up pass plus 3 measured invocations.
 	if len(bds) != 4 {
 		t.Fatalf("breakdowns = %d; want 4", len(bds))
 	}
@@ -395,7 +436,7 @@ func TestObserverReportAndTrace(t *testing.T) {
 	// After detach nothing new is recorded.
 	c.DetachObserver()
 	before := o.Events()
-	app.Run(1)
+	mustRun(t, app, Load{N: 1, Warmup: 1})
 	if o.Events() != before {
 		t.Fatalf("detached observer grew: %d -> %d", before, o.Events())
 	}

@@ -30,21 +30,6 @@ type FastPathStats = engine.FastPathStats
 // holder, and keys lost with every holder.
 type DirectPassingStats = store.DirectStats
 
-// DeployFast is Deploy with the data-plane fast path enabled. The zero
-// FastPath value is equivalent to Deploy.
-func (c *Cluster) DeployFast(wf *Workflow, mode Mode, fp FastPath) (*App, error) {
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
-	opts := engine.Options{Mode: m, Data: engine.DataStore, FastPath: fp}
-	dep, err := c.tb.Deploy(wf.bench, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: dep, opts: opts}, nil
-}
-
 // FastPath reports the fast-path configuration the app was deployed with.
 func (a *App) FastPath() FastPath { return a.opts.FastPath }
 

@@ -10,12 +10,12 @@ func TestDeployFastBeatsBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	fast := NewCluster(WithSeed(1))
-	appFast, err := fast.DeployFast(wf, WorkerSP, FastPath{DirectPassing: true, Prewarm: true})
+	appFast, err := fast.Deploy(wf, WorkerSP, WithFastPath(FastPath{DirectPassing: true, Prewarm: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb := appBase.Run(10)
-	sf := appFast.Run(10)
+	sb := mustRun(t, appBase, Load{N: 10, Warmup: 1})
+	sf := mustRun(t, appFast, Load{N: 10, Warmup: 1})
 	if sf.Mean > sb.Mean {
 		t.Fatalf("fast path regressed: mean %v > baseline %v", sf.Mean, sb.Mean)
 	}
@@ -39,13 +39,12 @@ func TestDeployFastBeatsBaseline(t *testing.T) {
 
 func TestDeployDurableWithMemoization(t *testing.T) {
 	c := NewCluster(WithSeed(2))
-	app, err := c.DeployDurable(Benchmark("Vid"), WorkerSP, Durability{
-		FastPath: FastPath{Memoize: true},
-	})
+	app, err := c.Deploy(Benchmark("Vid"), WorkerSP,
+		WithDurability(Durability{}), WithFastPath(FastPath{Memoize: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := app.Run(4); st.Count != 4 {
+	if st := mustRun(t, app, Load{N: 4, Warmup: 1}); st.Count != 4 {
 		t.Fatalf("completed %d/4", st.Count)
 	}
 	st := app.FastPathStats()

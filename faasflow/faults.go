@@ -28,7 +28,7 @@ const (
 	StoreOutage
 	// EngineDown crashes every deployed workflow engine for the window:
 	// in-flight invocations orphan, the journal tears at the crash instant,
-	// and restart replays committed steps (see DeployDurable). Node is
+	// and restart replays committed steps (see WithDurability). Node is
 	// unused.
 	EngineDown
 )
@@ -98,9 +98,9 @@ func RandomNodeKills(seed uint64, workers []string, n int, window, minDown, maxD
 	return out
 }
 
-// Recovery tunes the engine's fault-recovery layer for a deployment. Zero
-// values take defaults; the zero struct enables recovery with a 30 s task
-// timeout.
+// Recovery tunes the engine's fault-recovery layer for a deployment (see
+// WithRecovery). Zero values take defaults; the zero struct enables
+// recovery with a 30 s task timeout.
 type Recovery struct {
 	// TaskTimeout bounds one executor attempt end-to-end; a stranded
 	// attempt is abandoned and re-issued when it expires. It must exceed
@@ -114,39 +114,6 @@ type Recovery struct {
 	// MaxReissues bounds fault-driven re-issues per task before the
 	// invocation is marked failed (default 8).
 	MaxReissues int
-}
-
-// DeployWithRecovery is Deploy with the fault-recovery layer enabled:
-// tasks time out and re-issue, and tasks stranded on dead nodes are
-// re-placed onto surviving workers (MasterSP re-issues from the master;
-// WorkerSP re-issues from the task's predecessor worker).
-func (c *Cluster) DeployWithRecovery(wf *Workflow, mode Mode, rec Recovery) (*App, error) {
-	if rec.TaskTimeout == 0 {
-		rec.TaskTimeout = 30 * time.Second
-	}
-	if rec.BackoffBase == 0 {
-		rec.BackoffBase = 200 * time.Millisecond
-	}
-	if rec.BackoffMax == 0 {
-		rec.BackoffMax = 5 * time.Second
-	}
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
-	opts := engine.Options{
-		Mode:        m,
-		Data:        engine.DataStore,
-		TaskTimeout: rec.TaskTimeout,
-		BackoffBase: rec.BackoffBase,
-		BackoffMax:  rec.BackoffMax,
-		MaxReissues: rec.MaxReissues,
-	}
-	dep, err := c.tb.Deploy(wf.bench, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: dep, opts: opts}, nil
 }
 
 // FailureStats aggregates an app's failure and recovery counters.

@@ -11,10 +11,10 @@ import (
 // complete with re-issues recorded.
 func TestFaultInjectionAndRecovery(t *testing.T) {
 	c := NewCluster()
-	app, err := c.DeployWithRecovery(Benchmark("IR"), WorkerSP, Recovery{
+	app, err := c.Deploy(Benchmark("IR"), WorkerSP, WithRecovery(Recovery{
 		TaskTimeout: 20 * time.Second,
 		BackoffBase: 100 * time.Millisecond,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFaultInjectionAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 10
-	stats := app.Run(n)
+	stats := mustRun(t, app, Load{N: n, Warmup: 1})
 	if stats.Count != n {
 		t.Fatalf("completed %d of %d invocations", stats.Count, n)
 	}

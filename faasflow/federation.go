@@ -1,15 +1,11 @@
 package faasflow
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/engine"
 	"repro/internal/federation"
-	"repro/internal/harness"
-	"repro/internal/journal"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -20,8 +16,8 @@ import (
 // resume the claimed invocations by replay (committed steps skipped,
 // the uncommitted cut re-dispatched exactly once).
 
-// FederationOptions tunes a federated deployment. Zero values take the
-// defaults noted per field.
+// FederationOptions tunes a federated deployment (see WithFederation).
+// Zero values take the defaults noted per field.
 type FederationOptions struct {
 	// Members is the number of member engines (default 3). Every member is
 	// a full control-plane replica over the same scheduled placement; the
@@ -45,10 +41,6 @@ type FederationOptions struct {
 	HandoffDelay time.Duration
 	// Seed drives the claim-race jitter (default: cluster seed + 1).
 	Seed uint64
-	// Durability tunes each member's journal and recovery layer, exactly
-	// as in DeployDurable; every member gets its OWN journal — handoff
-	// replays read the union view across members.
-	Durability Durability
 }
 
 // FederationStats is the federation's counter set: epochs, lease
@@ -68,92 +60,6 @@ type HandoffError = federation.HandoffError
 // budget: workflow, invocation, step name, and attempt count. It is also
 // a typed error (errors.As against *ExhaustionRecord).
 type ExhaustionRecord = engine.ErrReissuesExhausted
-
-// DeployFederated deploys the workflow behind a sharded engine federation:
-// Members durable engines share ownership of the invocation space, and a
-// member crash (KillFederationMember, or an injected EngineKill fault)
-// triggers lease expiry, an epoch-fenced shard claim by a survivor, and a
-// journal handoff that resumes the dead member's invocations by replay.
-// Determinism holds end to end: the same seed reproduces the same claim
-// winners, fences, and replays.
-func (c *Cluster) DeployFederated(wf *Workflow, mode Mode, fo FederationOptions) (*App, error) {
-	members := fo.Members
-	if members == 0 {
-		members = 3
-	}
-	if members < 0 {
-		return nil, fmt.Errorf("faasflow: federation needs members > 0, got %d", members)
-	}
-	rec := fo.Durability.Recovery
-	if rec.TaskTimeout == 0 {
-		rec.TaskTimeout = 30 * time.Second
-	}
-	if rec.BackoffBase == 0 {
-		rec.BackoffBase = 200 * time.Millisecond
-	}
-	if rec.BackoffMax == 0 {
-		rec.BackoffMax = 5 * time.Second
-	}
-	m := engine.ModeWorkerSP
-	if mode == MasterSP {
-		m = engine.ModeMasterSP
-	}
-	if fo.Durability.ReplicationFactor > 1 {
-		c.tb.Runtime.Store.SetReplication(fo.Durability.ReplicationFactor, fo.Durability.RepairInterval)
-		nodes := c.tb.Runtime.Nodes
-		c.tb.Runtime.Store.SetAlive(func(n string) bool {
-			node := nodes[n]
-			return node == nil || !node.Failed()
-		})
-	}
-	var opts0 engine.Options
-	deps, err := c.tb.DeployReplicas(wf.bench, members, func(i int) engine.Options {
-		opts := engine.Options{
-			Mode: m,
-			Data: engine.DataStore,
-			Journal: journal.New(c.tb.Env, journal.Config{
-				SyncLatency: fo.Durability.SyncLatency,
-				BatchWindow: fo.Durability.BatchWindow,
-			}),
-			TaskTimeout: rec.TaskTimeout,
-			BackoffBase: rec.BackoffBase,
-			BackoffMax:  rec.BackoffMax,
-			MaxReissues: rec.MaxReissues,
-			FastPath:    fo.Durability.FastPath,
-		}
-		if i == 0 {
-			opts0 = opts
-		}
-		return opts
-	})
-	if err != nil {
-		return nil, err
-	}
-	fedMembers := make([]federation.Member, len(deps))
-	for i, d := range deps {
-		fedMembers[i] = federation.Member{
-			ID:      fmt.Sprintf("engine-%d", i),
-			Engine:  d.Engine,
-			Journal: d.Engine.Journal(),
-		}
-	}
-	seed := fo.Seed
-	if seed == 0 {
-		seed = c.tb.Spec.Seed + 1
-	}
-	fed, err := federation.New(c.tb.Env, federation.Config{
-		Shards:       fo.Shards,
-		LeaseTTL:     fo.LeaseTTL,
-		RenewEvery:   fo.RenewEvery,
-		CheckEvery:   fo.CheckEvery,
-		HandoffDelay: fo.HandoffDelay,
-		Seed:         seed,
-	}, c.tb.Bus(), fedMembers...)
-	if err != nil {
-		return nil, err
-	}
-	return &App{cluster: c, dep: deps[0], opts: opts0, fed: fed}, nil
-}
 
 // Federated reports whether the app was deployed behind a federation.
 func (a *App) Federated() bool { return a.fed != nil }
@@ -224,64 +130,6 @@ func (a *App) ExhaustionFailures() []ExhaustionRecord {
 		return a.fed.ExhaustionFailures()
 	}
 	return a.dep.Engine.FailureStatsSnapshot().Exhausted
-}
-
-// RunFederated sends n closed-loop invocations through the federation's
-// shard router. Invocations that land on a mid-handoff shard retry
-// automatically after the window closes (the wait counts toward client
-// latency). It returns an error when the run cannot finish — every member
-// dead, or the batch not draining within the deadline.
-func (a *App) RunFederated(n int) (Stats, error) {
-	if a.fed == nil {
-		return Stats{}, fmt.Errorf("faasflow: workflow was not deployed federated")
-	}
-	env := a.cluster.tb.Env
-	rec := &metrics.Recorder{}
-	completed := 0
-	var invokeErr error
-	var launch func()
-	launch = func() {
-		if n <= 0 {
-			return
-		}
-		n--
-		start := env.Now()
-		var submit func()
-		submit = func() {
-			_, err := a.fed.Invoke(engine.InvokeOptions{}, func(engine.Result) {
-				rec.Add((env.Now() - start).Duration())
-				completed++
-				launch()
-			})
-			if err != nil {
-				var he *HandoffError
-				if errors.As(err, &he) {
-					env.Schedule(he.RetryAfter, submit)
-					return
-				}
-				invokeErr = err
-				completed++
-				launch()
-			}
-		}
-		submit()
-	}
-	total := n
-	launch()
-	// The federation's renewal and sweep timers reschedule forever, so a
-	// bare env.Run() would never drain; step the clock until the batch
-	// completes (or a generous deadline passes).
-	deadline := env.Now() + sim.Time(time.Duration(total)*harness.Timeout+time.Minute)
-	for completed < total && env.Now() < deadline {
-		env.RunUntil(env.Now() + sim.Time(100*time.Millisecond))
-	}
-	if invokeErr != nil {
-		return statsOf(rec), invokeErr
-	}
-	if completed < total {
-		return statsOf(rec), fmt.Errorf("faasflow: federated run stalled: %d/%d invocations completed", completed, total)
-	}
-	return statsOf(rec), nil
 }
 
 // Advance runs the simulation clock forward by d even with no client work

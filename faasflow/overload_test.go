@@ -85,7 +85,7 @@ func TestRunAdmittedAccountsEveryArrival(t *testing.T) {
 	}
 	// 10x the admitted rate: most arrivals must be turned away, the rest
 	// finish inside the deadline.
-	st := app.RunAdmitted(300, 40, 30*time.Second)
+	st := mustRun(t, app, Load{N: 40, PerMinute: 300, Deadline: 30 * time.Second, Admit: true})
 	if st.Offered != 40 {
 		t.Fatalf("offered = %d", st.Offered)
 	}
@@ -118,7 +118,7 @@ func TestRunAdmittedDeadlineBoundsResidency(t *testing.T) {
 	// No admission, saturating arrivals, and a deadline shorter than the
 	// queueing delay this load builds: late arrivals must be cut off rather
 	// than run to completion long after their budget.
-	st := app.RunAdmitted(1200, 120, 4*time.Second)
+	st := mustRun(t, app, Load{N: 120, PerMinute: 1200, Deadline: 4 * time.Second, Admit: true})
 	if st.Rejected != 0 {
 		t.Fatalf("no controller installed but %d rejected", st.Rejected)
 	}

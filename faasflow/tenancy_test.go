@@ -19,7 +19,7 @@ func TestRunAdmittedNeverLeaksSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := app.RunAdmitted(300, 40, 2*time.Second)
+	st := mustRun(t, app, Load{N: 40, PerMinute: 300, Deadline: 2 * time.Second, Admit: true})
 	if st.Admitted == 0 || st.Rejected == 0 {
 		t.Fatalf("test load not mixed: %+v", st)
 	}
@@ -29,7 +29,7 @@ func TestRunAdmittedNeverLeaksSlots(t *testing.T) {
 }
 
 // TestTenantAdmissionRoundTrip drives tenant-attributed runs through the
-// public surface: SetAdmission with tenants, AdmitTenant + RunOpts per
+// public surface: SetAdmission with tenants, AdmitTenant + a tenanted Run per
 // batch, and per-tenant stats afterwards — with no slot leaked.
 func TestTenantAdmissionRoundTrip(t *testing.T) {
 	c := NewCluster(WithSeed(7))
@@ -52,10 +52,10 @@ func TestTenantAdmissionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := app.RunOpts(InvokeOptions{Tenant: "gold"}, 2)
+	st := mustRun(t, app, Load{N: 2, Tenant: "gold"})
 	release()
 	if st.Count != 2 {
-		t.Fatalf("RunOpts stats = %+v, want 2 completions", st)
+		t.Fatalf("tenanted Run stats = %+v, want 2 completions", st)
 	}
 	// bronze's burst-1 bucket rejects its second immediate request.
 	r1, err := c.AdmitTenant("IR", "bronze")
@@ -89,7 +89,7 @@ func TestTenantAdmissionRoundTrip(t *testing.T) {
 	if bronze.Admitted != 1 || bronze.RejectedRate != 1 {
 		t.Fatalf("bronze stats = %+v", bronze)
 	}
-	// Queue-side tenancy surfaced too: the tenanted RunOpts invocations
+	// Queue-side tenancy surfaced too: the tenanted Run invocations
 	// left per-tenant grant counters on the worker nodes.
 	grants := int64(0)
 	for _, q := range c.TenantQueueStats() {

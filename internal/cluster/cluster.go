@@ -479,6 +479,20 @@ type cpuTask struct {
 	done      func()
 }
 
+// progress reports the CPU-seconds t has completed since it was last
+// settled, at its current rate.
+func (t *cpuTask) progress(now sim.Time) float64 {
+	elapsed := (now - t.updatedAt).Duration().Seconds()
+	if elapsed <= 0 {
+		return 0
+	}
+	work := t.rate * elapsed
+	if work > t.remaining {
+		work = t.remaining
+	}
+	return work
+}
+
 // NewNode creates a worker node. The id must match the node's fabric ID so
 // engines and stores agree on placement.
 func NewNode(env *sim.Env, id string, cfg Config) *Node {
@@ -502,10 +516,16 @@ func (n *Node) ID() string { return n.id }
 // Config reports the node's configuration.
 func (n *Node) Config() Config { return n.cfg }
 
-// Stats returns a snapshot of lifetime counters.
+// Stats returns a snapshot of lifetime counters. CPUBusy includes the
+// work running tasks have done since they were last settled; the node
+// itself is left untouched, so a mid-run snapshot perturbs nothing.
 func (n *Node) Stats() NodeStats {
-	n.settleCPU()
-	return n.stats
+	st := n.stats
+	now := n.env.Now()
+	for t := range n.running {
+		st.CPUBusy += time.Duration(t.progress(now) * float64(time.Second))
+	}
+	return st
 }
 
 // MemUsed reports bytes currently held by containers.
@@ -1037,12 +1057,7 @@ func (n *Node) RunningTasks() int { return len(n.running) }
 func (n *Node) settleCPU() {
 	now := n.env.Now()
 	for t := range n.running {
-		elapsed := (now - t.updatedAt).Duration().Seconds()
-		if elapsed > 0 {
-			work := t.rate * elapsed
-			if work > t.remaining {
-				work = t.remaining
-			}
+		if work := t.progress(now); work > 0 {
 			t.remaining -= work
 			n.stats.CPUBusy += time.Duration(work * float64(time.Second))
 		}

@@ -124,7 +124,7 @@ func (d *Deployment) pubInvocation(inv *invocation, end bool) {
 	})
 }
 
-// phaseComp maps a tracer phase label to its attribution component.
+// phaseComp maps an executor phase label to its attribution component.
 func phaseComp(phase string) obs.Component {
 	switch phase {
 	case "acquire":

@@ -1,126 +1,27 @@
 package engine
 
 import (
-	"encoding/json"
-	"sort"
-	"strconv"
-
 	"repro/internal/dag"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Tracer records per-executor phase timings for deployed workflows. The
-// output loads into any Chrome-trace viewer (chrome://tracing, Perfetto):
-// one "process" per worker node, one "thread" per invocation, one span per
-// executor phase — acquire (container wait + cold start), fetch (input
-// download), exec (compute), store (output upload).
-type Tracer struct {
-	events []TraceEvent
-}
-
-// TraceEvent is one recorded phase span.
-type TraceEvent struct {
-	Node   string   // workflow step name (with #replica suffix for foreach)
-	Phase  string   // acquire | fetch | exec | store
-	Worker string   // worker node ID
-	Inv    int64    // invocation ID
-	Start  sim.Time // virtual time
-	End    sim.Time
-}
-
-// NewTracer returns an empty tracer; attach it with Deployment.SetTracer.
-func NewTracer() *Tracer { return &Tracer{} }
-
-// Events returns the recorded spans in chronological order.
-func (t *Tracer) Events() []TraceEvent {
-	out := append([]TraceEvent(nil), t.events...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		return out[i].Node < out[j].Node
-	})
-	return out
-}
-
-// Len reports the recorded span count.
-func (t *Tracer) Len() int { return len(t.events) }
-
-// Reset discards recorded events.
-func (t *Tracer) Reset() { t.events = t.events[:0] }
-
-func (t *Tracer) add(ev TraceEvent) {
-	t.events = append(t.events, ev)
-}
-
-// chromeEvent is the Chrome trace "complete event" (ph="X") shape.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`  // microseconds
-	Dur   float64        `json:"dur"` // microseconds
-	PID   string         `json:"pid"` // worker
-	TID   int64          `json:"tid"` // invocation
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-// ChromeJSON renders the trace in Chrome's array format.
-func (t *Tracer) ChromeJSON() ([]byte, error) {
-	evs := make([]chromeEvent, 0, len(t.events))
-	for _, e := range t.Events() {
-		evs = append(evs, chromeEvent{
-			Name:  e.Node + ":" + e.Phase,
-			Cat:   e.Phase,
-			Phase: "X",
-			TS:    float64(e.Start) / 1e3,
-			Dur:   float64(e.End-e.Start) / 1e3,
-			PID:   e.Worker,
-			TID:   e.Inv,
-			Args:  map[string]any{"phase": e.Phase},
-		})
-	}
-	return json.MarshalIndent(evs, "", " ")
-}
-
-// SetTracer attaches (or detaches, with nil) a tracer to the deployment.
-func (d *Deployment) SetTracer(t *Tracer) { d.tracer = t }
-
-// span emits one phase event to the tracer and/or the observability bus,
-// whichever is attached.
+// span publishes one executor phase — acquire (container wait + cold
+// start), fetch (input download), exec (compute), store (output upload) —
+// to the observability bus, when one is attached.
 func (d *Deployment) span(inv *invocation, id dag.NodeID, replica int, phase string, start sim.Time) {
-	if d.tracer == nil && !d.obs.Active() {
+	if !d.obs.Active() {
 		return
 	}
-	node := d.g.Node(id)
-	if d.tracer != nil {
-		name := node.Name
-		if node.Width > 1 {
-			name = name + "#" + itoa(replica)
-		}
-		d.tracer.add(TraceEvent{
-			Node:   name,
-			Phase:  phase,
-			Worker: inv.place[id],
-			Inv:    inv.id,
-			Start:  start,
-			End:    d.rt.Env.Now(),
-		})
-	}
-	if d.obs.Active() {
-		d.obs.Publish(obs.PhaseEvent{
-			Workflow: d.bench.Name,
-			Inv:      inv.id,
-			Node:     int(id),
-			Name:     node.Name,
-			Replica:  replica,
-			Comp:     phaseComp(phase),
-			Worker:   inv.place[id],
-			Start:    start,
-			End:      d.rt.Env.Now(),
-		})
-	}
+	d.obs.Publish(obs.PhaseEvent{
+		Workflow: d.bench.Name,
+		Inv:      inv.id,
+		Node:     int(id),
+		Name:     d.g.Node(id).Name,
+		Replica:  replica,
+		Comp:     phaseComp(phase),
+		Worker:   inv.place[id],
+		Start:    start,
+		End:      d.rt.Env.Now(),
+	})
 }
-
-func itoa(v int) string { return strconv.Itoa(v) }

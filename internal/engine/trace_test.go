@@ -6,7 +6,25 @@ import (
 	"testing"
 
 	"repro/internal/network"
+	"repro/internal/obs"
 )
+
+// These tests cover the executor phase spans the engine traces (trace.go)
+// as they reach an obs.Bus subscriber and the Chrome trace built from it.
+
+// recordPhases attaches a bus to d that collects every executor phase span
+// in publish order.
+func recordPhases(d *Deployment) *[]obs.PhaseEvent {
+	var out []obs.PhaseEvent
+	bus := obs.NewBus()
+	bus.Subscribe(func(ev obs.Event) {
+		if pe, ok := ev.(obs.PhaseEvent); ok {
+			out = append(out, pe)
+		}
+	})
+	d.SetObserver(bus)
+	return &out
+}
 
 func TestTracerRecordsAllPhases(t *testing.T) {
 	rt := rig(2, network.MBps(50))
@@ -15,16 +33,15 @@ func TestTracerRecordsAllPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
-	d.SetTracer(tr)
+	evs := recordPhases(d)
 	run(t, rt, d)
 	// 4 tasks x 4 phases.
-	if tr.Len() != 16 {
-		t.Fatalf("events = %d, want 16", tr.Len())
+	if len(*evs) != 16 {
+		t.Fatalf("events = %d, want 16", len(*evs))
 	}
-	phases := map[string]int{}
-	for _, e := range tr.Events() {
-		phases[e.Phase]++
+	phases := map[obs.Component]int{}
+	for _, e := range *evs {
+		phases[e.Comp]++
 		if e.End < e.Start {
 			t.Fatalf("negative span: %+v", e)
 		}
@@ -32,7 +49,7 @@ func TestTracerRecordsAllPhases(t *testing.T) {
 			t.Fatalf("unknown worker %q", e.Worker)
 		}
 	}
-	for _, p := range []string{"acquire", "fetch", "exec", "store"} {
+	for _, p := range []obs.Component{obs.CompAcquire, obs.CompFetch, obs.CompExec, obs.CompStore} {
 		if phases[p] != 4 {
 			t.Fatalf("phase %s count = %d, want 4", p, phases[p])
 		}
@@ -46,23 +63,23 @@ func TestTracerEventsOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
-	d.SetTracer(tr)
+	rec := recordPhases(d)
 	run(t, rt, d)
-	evs := tr.Events()
+	evs := *rec
+	// Spans publish as they end, so the stream is ordered by end time.
 	for i := 1; i < len(evs); i++ {
-		if evs[i].Start < evs[i-1].Start {
-			t.Fatal("Events() not chronologically sorted")
+		if evs[i].End < evs[i-1].End {
+			t.Fatal("phase spans not published in end-time order")
 		}
 	}
 	// Source task "a" phases must run in order acquire->fetch->exec->store.
-	var aPhases []string
+	var aPhases []obs.Component
 	for _, e := range evs {
-		if e.Node == "a" {
-			aPhases = append(aPhases, e.Phase)
+		if e.Name == "a" {
+			aPhases = append(aPhases, e.Comp)
 		}
 	}
-	want := []string{"acquire", "fetch", "exec", "store"}
+	want := []obs.Component{obs.CompAcquire, obs.CompFetch, obs.CompExec, obs.CompStore}
 	if len(aPhases) != 4 {
 		t.Fatalf("a phases = %v", aPhases)
 	}
@@ -73,17 +90,12 @@ func TestTracerEventsOrdered(t *testing.T) {
 	}
 }
 
-func TestTracerChromeJSON(t *testing.T) {
-	rt := rig(2, network.MBps(50))
-	b := miniBench()
-	d, err := NewDeployment(rt, b, placeRoundRobin(b, "w0", "w1"), Options{Mode: ModeMasterSP, Data: DataStore})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracer()
-	d.SetTracer(tr)
-	run(t, rt, d)
-	data, err := tr.ChromeJSON()
+// chromeRun runs miniBench once under mode with a trace log attached and
+// returns the parsed Chrome trace.
+func chromeRun(t *testing.T, mode Mode) []map[string]any {
+	t.Helper()
+	log, _ := observe(t, mode, Options{Data: DataStore})
+	data, err := obs.ChromeTrace(log)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,17 +103,29 @@ func TestTracerChromeJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &parsed); err != nil {
 		t.Fatalf("invalid trace JSON: %v", err)
 	}
-	if len(parsed) != tr.Len() {
-		t.Fatalf("JSON events = %d, want %d", len(parsed), tr.Len())
-	}
-	ev := parsed[0]
-	for _, key := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
-		if _, ok := ev[key]; !ok {
-			t.Fatalf("event missing %q: %v", key, ev)
+	return parsed
+}
+
+func TestTracerChromeJSON(t *testing.T) {
+	spans := 0
+	for _, ev := range chromeRun(t, ModeMasterSP) {
+		// Worker tracks carry the phase spans plus counter samples.
+		if pid := ev["pid"]; (pid != "w0" && pid != "w1") || ev["ph"] == "C" {
+			continue
+		}
+		spans++
+		for _, key := range []string{"name", "ph", "ts", "dur", "pid", "tid"} {
+			if _, ok := ev[key]; !ok {
+				t.Fatalf("event missing %q: %v", key, ev)
+			}
+		}
+		if ev["ph"] != "X" {
+			t.Fatalf("ph = %v, want X", ev["ph"])
 		}
 	}
-	if ev["ph"] != "X" {
-		t.Fatalf("ph = %v, want X", ev["ph"])
+	// 4 tasks x 4 phases, one span each on the worker tracks.
+	if spans != 16 {
+		t.Fatalf("worker phase spans = %d, want 16", spans)
 	}
 }
 
@@ -119,26 +143,16 @@ func TestTracerForeachReplicaNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTracer()
-	d.SetTracer(tr)
+	evs := recordPhases(d)
 	run(t, rt, d)
-	replicas := map[string]bool{}
-	for _, e := range tr.Events() {
-		if strings.Contains(e.Node, "#") {
-			replicas[e.Node] = true
+	replicas := map[int]bool{}
+	for _, e := range *evs {
+		if e.Name == "m0" {
+			replicas[e.Replica] = true
 		}
 	}
-	if !replicas["m0#0"] || !replicas["m0#1"] {
+	if !replicas[0] || !replicas[1] {
 		t.Fatalf("foreach replica spans missing: %v", replicas)
-	}
-}
-
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer()
-	tr.add(TraceEvent{Node: "x"})
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("Reset did not clear")
 	}
 }
 
@@ -149,57 +163,20 @@ func TestNoTracerNoOverhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No tracer attached: must run exactly as before.
+	// No bus attached: spans are skipped and the run completes as usual.
 	res := run(t, rt, d)
 	if res.Latency() <= 0 {
-		t.Fatal("run without tracer broken")
-	}
-}
-
-func TestTracerChromeJSONEmpty(t *testing.T) {
-	data, err := NewTracer().ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(string(data)) != "[]" {
-		t.Fatalf("empty tracer renders %q; want [] (null breaks trace viewers)", data)
+		t.Fatal("run without tracing broken")
 	}
 }
 
 func TestTracerChromeJSONChronological(t *testing.T) {
-	tr := NewTracer()
-	tr.add(TraceEvent{Node: "b", Phase: "exec", Start: 300, End: 400})
-	tr.add(TraceEvent{Node: "a", Phase: "exec", Start: 100, End: 200})
-	data, err := tr.ChromeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var parsed []map[string]any
-	if err := json.Unmarshal(data, &parsed); err != nil {
-		t.Fatal(err)
-	}
-	var prev float64 = -1
-	for _, ev := range parsed {
+	prev := -1.0
+	for _, ev := range chromeRun(t, ModeWorkerSP) {
 		ts := ev["ts"].(float64)
 		if ts < prev {
 			t.Fatalf("events out of order: ts %v after %v", ts, prev)
 		}
 		prev = ts
-	}
-}
-
-func TestItoa(t *testing.T) {
-	cases := map[int]string{
-		0:          "0",
-		7:          "7",
-		42:         "42",
-		-13:        "-13", // the old hand-rolled version looped forever here
-		123456789:  "123456789",
-		-987654321: "-987654321",
-	}
-	for in, want := range cases {
-		if got := itoa(in); got != want {
-			t.Errorf("itoa(%d) = %q; want %q", in, got, want)
-		}
 	}
 }

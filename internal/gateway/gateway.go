@@ -166,8 +166,9 @@ type deployRequest struct {
 	// Durable deploys with a workflow journal (and recovery enabled), so
 	// GET /workflows/{name}/journal serves the committed step records.
 	Durable bool `json:"durable,omitempty"`
-	// ReplicationFactor, with Durable, writes FaaStore outputs to this many
-	// worker shards (cluster-wide store property).
+	// ReplicationFactor, with Durable or Federated, writes FaaStore outputs
+	// to this many worker shards (cluster-wide store property). Any other
+	// deploy that sets it is rejected.
 	ReplicationFactor int `json:"replicationFactor,omitempty"`
 	// FastPath enables the data-plane fast path for this deployment; GET
 	// /workflows/{name}/fastpath serves its counters.
@@ -232,6 +233,9 @@ func (s *Server) handleWorkflows(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) deploy(req deployRequest) (*workflowInfo, error) {
+	if req.ReplicationFactor != 0 && !req.Durable && !req.Federated {
+		return nil, &httpError{http.StatusBadRequest, "replicationFactor needs a durable or federated deploy"}
+	}
 	var wf *faasflow.Workflow
 	switch {
 	case req.Benchmark != "":
@@ -259,17 +263,17 @@ func (s *Server) deploy(req deployRequest) (*workflowInfo, error) {
 	if _, dup := s.apps[name]; dup {
 		return nil, &httpError{http.StatusConflict, fmt.Sprintf("workflow %q already deployed", name)}
 	}
-	fp := faasflow.FastPath{
+	opts := []faasflow.DeployOption{faasflow.WithFastPath(faasflow.FastPath{
 		DirectPassing: req.FastPath.DirectPassing,
 		Prewarm:       req.FastPath.Prewarm,
 		Memoize:       req.FastPath.Memoize,
+	})}
+	if req.Durable || req.Federated {
+		opts = append(opts, faasflow.WithDurability(faasflow.Durability{ReplicationFactor: req.ReplicationFactor}))
 	}
-	var app *faasflow.App
-	var err error
-	switch {
-	case req.Federated:
+	if req.Federated {
 		fc := req.Federation
-		app, err = s.cluster.DeployFederated(wf, s.mode, faasflow.FederationOptions{
+		opts = append(opts, faasflow.WithFederation(faasflow.FederationOptions{
 			Members:      fc.Members,
 			Shards:       fc.Shards,
 			LeaseTTL:     time.Duration(fc.LeaseTTLMs) * time.Millisecond,
@@ -277,21 +281,9 @@ func (s *Server) deploy(req deployRequest) (*workflowInfo, error) {
 			CheckEvery:   time.Duration(fc.CheckEveryMs) * time.Millisecond,
 			HandoffDelay: time.Duration(fc.HandoffDelayMs) * time.Millisecond,
 			Seed:         fc.Seed,
-			Durability: faasflow.Durability{
-				ReplicationFactor: req.ReplicationFactor,
-				FastPath:          fp,
-			},
-		})
-	case req.Durable:
-		app, err = s.cluster.DeployDurable(wf, s.mode, faasflow.Durability{
-			ReplicationFactor: req.ReplicationFactor,
-			FastPath:          fp,
-		})
-	case fp.Enabled():
-		app, err = s.cluster.DeployFast(wf, s.mode, fp)
-	default:
-		app, err = s.cluster.Deploy(wf, s.mode)
+		}))
 	}
+	app, err := s.cluster.Deploy(wf, s.mode, opts...)
 	if err != nil {
 		return nil, &httpError{http.StatusUnprocessableEntity, err.Error()}
 	}
@@ -355,6 +347,10 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 			fail(w, &httpError{http.StatusBadRequest, "n too large"})
 			return
 		}
+		if req.RatePerMinute < 0 {
+			fail(w, &httpError{http.StatusBadRequest, "ratePerMinute must not be negative"})
+			return
+		}
 		// Admission gates the HTTP request as one workflow session: rejected
 		// requests get 429 + Retry-After without touching the simulation.
 		// The Tenant header attributes the session to a tenant, gating it on
@@ -388,7 +384,12 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("federation handoff in progress, retry after %v", wait)})
 			return
 		}
-		var stats faasflow.Stats
+		load := faasflow.Load{N: req.N, PerMinute: req.RatePerMinute, Args: req.Args}
+		// Plain closed-loop and open-loop sessions absorb cold starts with
+		// one unrecorded warm-up invocation; tenant-labelled and
+		// argument-carrying closed loops record every invocation. Open-loop
+		// runs keep tenant attribution at the admission layer only; the
+		// per-invocation label rides on closed-loop runs.
 		switch {
 		case app.Federated():
 			if req.RatePerMinute > 0 || req.Args != nil {
@@ -396,22 +397,17 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 					"federated invoke supports closed-loop runs only"})
 				return
 			}
-			st, err := app.RunFederated(req.N)
-			if err != nil {
-				fail(w, &httpError{http.StatusInternalServerError, err.Error()})
-				return
-			}
-			stats = st
 		case req.RatePerMinute > 0:
-			// Open-loop runs keep tenant attribution at the admission layer
-			// only; the per-invocation label rides on closed-loop runs.
-			stats = app.RunOpenLoop(req.RatePerMinute, req.N)
+			load.Warmup = 1
 		case tenant != "":
-			stats = app.RunOpts(faasflow.InvokeOptions{Args: req.Args, Tenant: tenant}, req.N)
-		case req.Args != nil:
-			stats = app.RunWithArgs(req.Args, req.N)
-		default:
-			stats = app.Run(req.N)
+			load.Tenant = tenant
+		case req.Args == nil:
+			load.Warmup = 1
+		}
+		stats, err := app.Run(load)
+		if err != nil {
+			fail(w, &httpError{http.StatusInternalServerError, err.Error()})
+			return
 		}
 		writeJSON(w, http.StatusOK, invokeResponse{
 			Count:       stats.Count,

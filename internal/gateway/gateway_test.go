@@ -565,3 +565,77 @@ func TestExplainEndpoint(t *testing.T) {
 		t.Fatalf("ghost status = %d, want 404", code)
 	}
 }
+
+// replicationFactor is a durability knob: a deploy that is neither durable
+// nor federated must say so instead of silently dropping it.
+func TestReplicationFactorNeedsDurableDeploy(t *testing.T) {
+	srv := newTestServer(t)
+	var out map[string]any
+	code := doJSON(t, http.MethodPost, srv.URL+"/workflows",
+		map[string]any{"benchmark": "IR", "replicationFactor": 2}, &out)
+	if code != http.StatusBadRequest || !strings.Contains(fmt.Sprint(out["error"]), "replicationFactor") {
+		t.Fatalf("plain deploy with replicationFactor = %d %v; want 400", code, out)
+	}
+	code = doJSON(t, http.MethodPost, srv.URL+"/workflows",
+		map[string]any{"benchmark": "IR", "durable": true, "replicationFactor": 2}, nil)
+	if code != http.StatusCreated {
+		t.Fatalf("durable deploy with replicationFactor = %d; want 201", code)
+	}
+}
+
+// Open-loop invokes carry args to the switch like closed-loop ones do.
+func TestOpenLoopInvokeRoutesArgs(t *testing.T) {
+	srv := newTestServer(t)
+	req := map[string]any{
+		"wdl": `
+name: router
+steps:
+  - name: probe
+    function: probe
+  - name: pick
+    type: switch
+    choices:
+      - condition: "$q > 720"
+        steps:
+          - name: hd
+            function: hd
+      - steps:
+          - name: sd
+            function: sd
+`,
+		"functions": map[string]any{
+			"probe": map[string]any{"execSeconds": 0.05},
+			"hd":    map[string]any{"execSeconds": 2.0},
+			"sd":    map[string]any{"execSeconds": 0.1},
+		},
+	}
+	if code := doJSON(t, http.MethodPost, srv.URL+"/workflows", req, nil); code != http.StatusCreated {
+		t.Fatalf("deploy status = %d", code)
+	}
+	invoke := func(q float64) invokeResponse {
+		var stats invokeResponse
+		code := doJSON(t, http.MethodPost, srv.URL+"/workflows/router/invoke",
+			map[string]any{"n": 4, "ratePerMinute": 6, "args": map[string]any{"q": q}}, &stats)
+		if code != http.StatusOK || stats.Count != 4 {
+			t.Fatalf("open-loop invoke = %d %+v", code, stats)
+		}
+		return stats
+	}
+	// Arrivals 10 s apart never overlap, so each latency is one branch's
+	// cost: the HD branch alone adds 1.9 s of execution per invocation.
+	hd, sd := invoke(1080), invoke(480)
+	if hd.MeanMs-sd.MeanMs < 1500 {
+		t.Fatalf("hd mean %.0fms vs sd mean %.0fms; args not routed on the open loop", hd.MeanMs, sd.MeanMs)
+	}
+}
+
+func TestNegativeRateRejected(t *testing.T) {
+	srv := newTestServer(t)
+	deployETL(t, srv)
+	var out map[string]any
+	code := doJSON(t, http.MethodPost, srv.URL+"/workflows/etl/invoke",
+		map[string]any{"n": 1, "ratePerMinute": -5}, &out)
+	if code != http.StatusBadRequest {
+		t.Fatalf("negative rate = %d %v; want 400", code, out)
+	}
+}

@@ -45,41 +45,47 @@ func ClosedLoop(env *sim.Env, d *engine.Deployment, warmup, n int) *metrics.Reco
 // regardless of completions — the §5.4 methodology that exposes queueing
 // and cold-start effects — and records latencies clamped at Timeout.
 func OpenLoop(env *sim.Env, d *engine.Deployment, perMinute float64, warmup, n int) *metrics.Recorder {
-	rec := &metrics.Recorder{}
-	// Warm containers with a single closed-loop pass first.
-	for i := 0; i < warmup; i++ {
-		d.Invoke(nil)
-	}
-	env.Run()
-	interval := time.Duration(60 / perMinute * float64(time.Second))
-	for i := 0; i < n; i++ {
-		delay := time.Duration(i) * interval
-		env.Schedule(delay, func() {
-			d.Invoke(func(r engine.Result) {
-				rec.Add(r.Latency())
-			})
-		})
-	}
-	env.Run()
-	rec.Clamp(Timeout)
-	return rec
+	return openLoop(env, d, warmup, Arrivals(perMinute, n, false, 0))
 }
 
 // OpenLoopPoisson is OpenLoop with exponentially distributed inter-arrival
 // times (a Poisson process) instead of a fixed interval — the arrival
 // model of real tenant traffic. Deterministic given the seed.
 func OpenLoopPoisson(env *sim.Env, d *engine.Deployment, perMinute float64, warmup, n int, seed uint64) *metrics.Recorder {
+	return openLoop(env, d, warmup, Arrivals(perMinute, n, true, seed))
+}
+
+// Arrivals lays out n open-loop arrival offsets at perMinute: a fixed
+// interval, or — with poisson — exponential inter-arrival times drawn
+// deterministically from seed.
+func Arrivals(perMinute float64, n int, poisson bool, seed uint64) []time.Duration {
+	out := make([]time.Duration, n)
+	if !poisson {
+		interval := time.Duration(60 / perMinute * float64(time.Second))
+		for i := range out {
+			out[i] = time.Duration(i) * interval
+		}
+		return out
+	}
+	rng := sim.NewRand(seed ^ 0x9e3779b97f4a7c15)
+	mean := 60 / perMinute // seconds between arrivals
+	at := 0.0
+	for i := range out {
+		at += rng.ExpFloat64() * mean
+		out[i] = time.Duration(at * float64(time.Second))
+	}
+	return out
+}
+
+func openLoop(env *sim.Env, d *engine.Deployment, warmup int, arrivals []time.Duration) *metrics.Recorder {
 	rec := &metrics.Recorder{}
+	// Warm containers with a single closed-loop pass first.
 	for i := 0; i < warmup; i++ {
 		d.Invoke(nil)
 	}
 	env.Run()
-	rng := sim.NewRand(seed ^ 0x9e3779b97f4a7c15)
-	mean := 60 / perMinute // seconds between arrivals
-	at := 0.0
-	for i := 0; i < n; i++ {
-		at += rng.ExpFloat64() * mean
-		env.Schedule(time.Duration(at*float64(time.Second)), func() {
+	for _, at := range arrivals {
+		env.Schedule(at, func() {
 			d.Invoke(func(r engine.Result) {
 				rec.Add(r.Latency())
 			})

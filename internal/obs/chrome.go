@@ -7,8 +7,8 @@ import (
 )
 
 // This file renders a TraceLog as a full-system Chrome trace (load it in
-// chrome://tracing or https://ui.perfetto.dev). The view extends the
-// engine's per-executor tracer with everything else the bus sees:
+// chrome://tracing or https://ui.perfetto.dev): the engine's executor
+// phases together with everything else the bus sees:
 //
 //   - executor phases as "X" spans, one process per worker, one thread per
 //     invocation;

@@ -207,6 +207,35 @@ func TestFromBenchmarkResult(t *testing.T) {
 	}
 }
 
+// Extra metrics come out in unit order, so a result marshals to the same
+// bytes every time.
+func TestFromBenchmarkResultMetricOrderStable(t *testing.T) {
+	r := testing.BenchmarkResult{N: 1, T: 1, Extra: map[string]float64{
+		"resolves/op": 3, "events/op": 2, "ops/sec": 4, "events/sec": 1, "simsec/sec": 5,
+	}}
+	var first []byte
+	for i := 0; i < 20; i++ {
+		data, err := snap(fromBenchmarkResult("t/order", r)).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = data
+			continue
+		}
+		if string(data) != string(first) {
+			t.Fatalf("marshal %d differs from the first:\n%s\nvs\n%s", i, data, first)
+		}
+	}
+	var units []string
+	for _, m := range fromBenchmarkResult("t/order", r).Metrics[3:] {
+		units = append(units, m.Unit)
+	}
+	if got := strings.Join(units, ","); got != "events/op,events/sec,ops/sec,resolves/op,simsec/sec" {
+		t.Fatalf("extra metric order = %s", got)
+	}
+}
+
 // TestRunMacroDeterministic runs the small macro scenario twice and checks
 // the simulated-domain figures are bit-identical — the property the tight
 // ClassDomain tolerances rely on.

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 	"time"
 
@@ -107,8 +108,15 @@ func fromBenchmarkResult(name string, r testing.BenchmarkResult) BenchResult {
 		allocMetric("allocs/op", float64(r.AllocsPerOp()), TolAlloc),
 		allocMetric("B/op", float64(r.AllocedBytesPerOp()), TolBytes),
 	)
-	for unit, v := range r.Extra {
-		out.Metrics = append(out.Metrics, classifyExtra(unit, v))
+	// Extra is a map; sort its units so snapshot bytes do not depend on
+	// map iteration order.
+	units := make([]string, 0, len(r.Extra))
+	for unit := range r.Extra {
+		units = append(units, unit)
+	}
+	sort.Strings(units)
+	for _, unit := range units {
+		out.Metrics = append(out.Metrics, classifyExtra(unit, r.Extra[unit]))
 	}
 	return out
 }
