@@ -14,6 +14,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -119,8 +120,13 @@ type Node struct {
 	live       map[*Container]struct{}
 	failed     bool
 
-	// Processor-sharing CPU state.
-	running map[*cpuTask]struct{}
+	// Processor-sharing CPU state: running tasks in Exec order, and one
+	// kernel timer for the earliest finisher (cpuNext). cpuFire is
+	// n.onCPUTimer bound once, so arming allocates no closure.
+	running  []*cpuTask
+	cpuTimer *sim.Event
+	cpuNext  *cpuTask
+	cpuFire  func()
 
 	// coldScale multiplies Config.ColdStart at provisioning time
 	// (NewNode sets 1). Counterfactual profiling sets it so cold-start
@@ -475,7 +481,6 @@ type cpuTask struct {
 	remaining float64 // CPU-seconds of work left
 	rate      float64 // current share of one core (0..1]
 	updatedAt sim.Time
-	finish    *sim.Event
 	done      func()
 }
 
@@ -499,15 +504,16 @@ func NewNode(env *sim.Env, id string, cfg Config) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Node{
+	n := &Node{
 		id:        id,
 		env:       env,
 		cfg:       cfg,
 		coldScale: 1,
 		pools:     map[string]*fnPool{},
 		live:      map[*Container]struct{}{},
-		running:   map[*cpuTask]struct{}{},
 	}
+	n.cpuFire = n.onCPUTimer
+	return n
 }
 
 // ID reports the node's identifier.
@@ -522,7 +528,7 @@ func (n *Node) Config() Config { return n.cfg }
 func (n *Node) Stats() NodeStats {
 	st := n.stats
 	now := n.env.Now()
-	for t := range n.running {
+	for _, t := range n.running {
 		st.CPUBusy += time.Duration(t.progress(now) * float64(time.Second))
 	}
 	return st
@@ -964,16 +970,12 @@ func (n *Node) Fail() {
 	n.failed = true
 	n.stats.Failures++
 	// Kill in-flight compute. Settle first so CPUBusy integrates the work
-	// actually done before the crash; the tasks' done callbacks are dropped.
+	// actually done before the crash, and cancels the CPU timer; the tasks'
+	// done callbacks are dropped.
 	n.settleCPU()
-	for t := range n.running {
-		if t.finish != nil {
-			t.finish.Cancel()
-			t.finish = nil
-		}
-	}
 	hadTasks := len(n.running) > 0
-	n.running = map[*cpuTask]struct{}{}
+	clear(n.running)
+	n.running = n.running[:0]
 	// Mark every container dead so late Release/Destroy calls from engines
 	// holding them become no-ops. Flag-setting only: order-independent.
 	for c := range n.live {
@@ -1041,7 +1043,7 @@ func (n *Node) Exec(cpuSeconds float64, done func()) {
 	}
 	n.settleCPU()
 	t := &cpuTask{remaining: cpuSeconds, updatedAt: n.env.Now(), done: done}
-	n.running[t] = struct{}{}
+	n.running = append(n.running, t)
 	if len(n.running) > n.stats.PeakConcurrent {
 		n.stats.PeakConcurrent = len(n.running)
 	}
@@ -1053,23 +1055,27 @@ func (n *Node) Exec(cpuSeconds float64, done func()) {
 func (n *Node) RunningTasks() int { return len(n.running) }
 
 // settleCPU advances all running tasks to the current instant at their old
-// rates, integrating core-busy time, and cancels their finish events.
+// rates, integrating core-busy time, and cancels the CPU timer.
 func (n *Node) settleCPU() {
 	now := n.env.Now()
-	for t := range n.running {
+	for _, t := range n.running {
 		if work := t.progress(now); work > 0 {
 			t.remaining -= work
 			n.stats.CPUBusy += time.Duration(work * float64(time.Second))
 		}
 		t.updatedAt = now
-		if t.finish != nil {
-			t.finish.Cancel()
-			t.finish = nil
-		}
+	}
+	if n.cpuTimer != nil {
+		n.cpuTimer.Cancel()
+		n.cpuTimer, n.cpuNext = nil, nil
 	}
 }
 
-// rescheduleCPU assigns equal shares and schedules every task's finish.
+// rescheduleCPU assigns equal shares and arms the CPU timer for the
+// earliest finisher; on a tie the earliest Exec wins. As with the fabric's
+// completion timer, nothing else is scheduled between the settle and this
+// call, so the one timer keeps the (at, seq) place a per-task finish
+// event would have had.
 func (n *Node) rescheduleCPU() {
 	k := len(n.running)
 	if k == 0 {
@@ -1079,19 +1085,35 @@ func (n *Node) rescheduleCPU() {
 	if k > n.cfg.Cores {
 		rate = float64(n.cfg.Cores) / float64(k)
 	}
-	for t := range n.running {
+	now := n.env.Now()
+	var next *cpuTask
+	var at sim.Time
+	for _, t := range n.running {
 		t.rate = rate
-		t := t
 		secs := t.remaining / rate
-		t.finish = n.env.Schedule(time.Duration(secs*float64(time.Second))+1, func() {
-			n.finishTask(t)
-		})
+		d := time.Duration(secs*float64(time.Second)) + 1
+		if d < 0 {
+			d = 0
+		}
+		if ft := now + sim.Time(d); next == nil || ft < at {
+			next, at = t, ft
+		}
 	}
+	n.cpuNext = next
+	n.cpuTimer = n.env.At(at, n.cpuFire)
+}
+
+// onCPUTimer finishes the task the CPU timer was armed for.
+func (n *Node) onCPUTimer() {
+	t := n.cpuNext
+	n.cpuTimer, n.cpuNext = nil, nil
+	n.finishTask(t)
 }
 
 func (n *Node) finishTask(t *cpuTask) {
 	n.settleCPU()
-	delete(n.running, t)
+	i := slices.Index(n.running, t)
+	n.running = slices.Delete(n.running, i, i+1)
 	n.pubTask(false)
 	n.rescheduleCPU()
 	t.done()

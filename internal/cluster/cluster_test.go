@@ -408,15 +408,40 @@ func BenchmarkAcquireReleaseWarm(b *testing.B) {
 	}
 }
 
+// BenchmarkExecContention runs 50 same-size tasks on one node and reports
+// the peak queued events (tombstones included) alongside allocs/op.
 func BenchmarkExecContention(b *testing.B) {
 	b.ReportAllocs()
+	peak := 0
 	for i := 0; i < b.N; i++ {
 		env := sim.NewEnv()
 		n := NewNode(env, "w1", DefaultConfig())
 		for j := 0; j < 50; j++ {
 			n.Exec(0.01, nil)
 		}
+		peak = max(peak, env.Pending())
+		for env.Step() {
+			peak = max(peak, env.Pending())
+		}
+	}
+	b.ReportMetric(float64(peak), "pending-peak")
+}
+
+// Tasks that finish at the same instant complete in Exec order, run after
+// run: the node's running set is ordered, so the completion timer's
+// tie-break is deterministic.
+func TestSameInstantExecCompletesInExecOrder(t *testing.T) {
+	for run := 0; run < 200; run++ {
+		env := sim.NewEnv()
+		n := NewNode(env, "w1", DefaultConfig())
+		var got []int
+		for i := 0; i < 3; i++ {
+			n.Exec(0.01, func() { got = append(got, i) })
+		}
 		env.Run()
+		if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+			t.Fatalf("run %d: completion order %v, want [0 1 2]", run, got)
+		}
 	}
 }
 

@@ -216,3 +216,36 @@ func TestNodeFailAbortsAndRecovers(t *testing.T) {
 		t.Fatal("post-recovery acquire was not a fresh cold start")
 	}
 }
+
+// Failing a node with a CPU timer pending cancels that one timer: the
+// killed task never completes, and after Recover a fresh Exec runs on an
+// idle CPU and completes on time.
+func TestFailCancelsCPUTimerAndRecoveredExecCompletes(t *testing.T) {
+	env := sim.NewEnv()
+	n := NewNode(env, "w1", tightConfig())
+	killed := false
+	n.Exec(1.0, func() { killed = true })
+	env.RunUntil(sim.Time(100 * time.Millisecond))
+	timer := n.cpuTimer
+	if timer == nil {
+		t.Fatal("no CPU timer armed for a running task")
+	}
+	n.Fail()
+	if !timer.Canceled() || n.cpuTimer != nil || n.RunningTasks() != 0 {
+		t.Fatalf("after Fail: timer canceled=%v armed=%v running=%d", timer.Canceled(), n.cpuTimer != nil, n.RunningTasks())
+	}
+	n.Recover()
+	var doneAt sim.Time
+	start := env.Now()
+	n.Exec(0.5, func() { doneAt = env.Now() })
+	env.Run()
+	if killed {
+		t.Fatal("task killed by Fail still completed")
+	}
+	if want := start + sim.Time(500*time.Millisecond) + 1; doneAt != want {
+		t.Fatalf("post-recovery exec done at %v, want %v", doneAt, want)
+	}
+	if got := n.Stats().CPUBusy; got != 600*time.Millisecond {
+		t.Fatalf("CPUBusy = %v, want 600ms (100ms before the crash + 500ms after)", got)
+	}
+}

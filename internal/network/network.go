@@ -19,6 +19,7 @@ package network
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -59,7 +60,13 @@ type link struct {
 	capacity Bandwidth
 	factor   float64 // fault multiplier: 1 healthy, (0,1) degraded, 0 partitioned
 	scale    float64 // what-if multiplier: counterfactual bandwidth scaling (default 1)
-	flows    map[*Flow]struct{}
+
+	// Solver scratch, meaningful only while epoch equals the fabric's
+	// current solve epoch: flows crossing the link not yet given a rate,
+	// and bandwidth already handed to fixed flows.
+	epoch   uint64
+	unfixed int
+	used    float64
 }
 
 // effCap is the capacity currently usable, after fault degradation and any
@@ -84,8 +91,6 @@ type Flow struct {
 	updatedAt sim.Time
 	done      func()
 	src, dst  *link
-	finish    *sim.Event
-	fab       *Fabric
 	id        int64
 	startAt   sim.Time
 }
@@ -108,7 +113,21 @@ type Fabric struct {
 	cfg   Config
 	nodes map[string]*node
 	order []string // deterministic iteration order
-	flows map[*Flow]struct{}
+
+	// active holds the flows that have joined the fabric, in flow-ID
+	// order: the solver's float accumulation order and its tie-breaks
+	// follow it.
+	active []*Flow
+	// timer is the fabric's one kernel event: it fires at the earliest
+	// completion among active flows and completes next. fire is
+	// f.onTimer bound once, so arming the timer allocates no closure.
+	timer *sim.Event
+	next  *Flow
+	fire  func()
+	// epoch stamps link scratch as belonging to the current solve;
+	// solveLinks is the reused first-use-order list of loaded links.
+	epoch      uint64
+	solveLinks []*link
 
 	totalBytes int64
 	totalFlows int64
@@ -165,13 +184,14 @@ func (f *Fabric) pubCapacity(n *node) {
 
 // New creates an empty fabric on env.
 func New(env *sim.Env, cfg Config) *Fabric {
-	return &Fabric{
+	f := &Fabric{
 		env:      env,
 		cfg:      cfg,
 		latScale: 1,
 		nodes:    make(map[string]*node),
-		flows:    make(map[*Flow]struct{}),
 	}
+	f.fire = f.onTimer
+	return f
 }
 
 // msgLat is the effective per-message propagation latency under the current
@@ -226,8 +246,8 @@ func (f *Fabric) AddNode(id string, egress, ingress Bandwidth) {
 	}
 	f.nodes[id] = &node{
 		id:      id,
-		egress:  &link{capacity: egress, factor: 1, scale: 1, flows: map[*Flow]struct{}{}},
-		ingress: &link{capacity: ingress, factor: 1, scale: 1, flows: map[*Flow]struct{}{}},
+		egress:  &link{capacity: egress, factor: 1, scale: 1},
+		ingress: &link{capacity: ingress, factor: 1, scale: 1},
 	}
 	f.order = append(f.order, id)
 	sort.Strings(f.order)
@@ -360,14 +380,13 @@ func (f *Fabric) Send(from, to string, size int64, done func()) *Flow {
 		size: size, remaining: float64(size),
 		done: done,
 		src:  src.egress, dst: dst.ingress,
-		fab: f,
-		id:  f.nextFlowID, startAt: f.env.Now(),
+		id: f.nextFlowID, startAt: f.env.Now(),
 	}
 	f.nextFlowID++
 	if f.bus.Active() {
 		f.bus.Publish(obs.FlowEvent{
 			ID: fl.id, From: from, To: to, Bytes: size,
-			Active: len(f.flows) + 1, At: fl.startAt,
+			Active: len(f.active) + 1, At: fl.startAt,
 		})
 	}
 	// The flow joins the fabric after propagation latency.
@@ -377,9 +396,7 @@ func (f *Fabric) Send(from, to string, size int64, done func()) *Flow {
 		}
 		fl.updatedAt = f.env.Now()
 		f.settleAll()
-		f.flows[fl] = struct{}{}
-		fl.src.flows[fl] = struct{}{}
-		fl.dst.flows[fl] = struct{}{}
+		f.join(fl)
 		f.resolve()
 	})
 	return fl
@@ -433,75 +450,82 @@ func (f *Fabric) deliverMsg(from, to string, size int64, done func()) {
 	f.env.Schedule(f.msgLat()+ser, done)
 }
 
+// join adds fl to the active set at its flow-ID position. Flows usually
+// join in ID order; a latency-scale change mid-run can reorder joins.
+func (f *Fabric) join(fl *Flow) {
+	i := sort.Search(len(f.active), func(i int) bool { return f.active[i].id > fl.id })
+	f.active = slices.Insert(f.active, i, fl)
+}
+
+// leave removes fl from the active set.
+func (f *Fabric) leave(fl *Flow) {
+	i := sort.Search(len(f.active), func(i int) bool { return f.active[i].id >= fl.id })
+	f.active = slices.Delete(f.active, i, i+1)
+}
+
 // settleAll advances every active flow's remaining-bytes to the current
-// instant at its old rate and cancels pending finish events. Must be called
+// instant at its old rate and cancels the completion timer. Must be called
 // before any rate change.
 func (f *Fabric) settleAll() {
 	now := f.env.Now()
-	for fl := range f.flows {
+	for _, fl := range f.active {
 		elapsed := (now - fl.updatedAt).Duration().Seconds()
 		fl.remaining -= fl.rate * elapsed
 		if fl.remaining < 0 {
 			fl.remaining = 0
 		}
 		fl.updatedAt = now
-		if fl.finish != nil {
-			fl.finish.Cancel()
-			fl.finish = nil
-		}
+	}
+	if f.timer != nil {
+		f.timer.Cancel()
+		f.timer, f.next = nil, nil
 	}
 }
 
-// resolve computes max-min fair rates for all active flows (progressive
-// filling over the 2-resource path egress→ingress) and schedules each
-// flow's completion. Every loop iterates flows in flow-ID order: float
-// accumulation order and same-instant completion scheduling order both
-// leak into the simulation, and map iteration would make runs
-// irreproducible.
+// resolve computes max-min fair rates for all active flows and arms the
+// completion timer for the earliest finisher.
 func (f *Fabric) resolve() {
-	if len(f.flows) == 0 {
+	if len(f.active) == 0 {
 		return
 	}
 	f.resolves++
-	ordered := make([]*Flow, 0, len(f.flows))
-	for fl := range f.flows {
-		ordered = append(ordered, fl)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].id < ordered[j].id })
-	// Collect links that carry at least one flow, in first-use order.
-	type linkState struct {
-		l       *link
-		unfixed int
-		used    float64
-	}
-	states := map[*link]*linkState{}
-	var linkOrder []*linkState
-	for _, fl := range ordered {
+	f.solve()
+	f.arm()
+}
+
+// solve assigns max-min fair rates by progressive filling over the
+// 2-resource path egress→ingress. Every loop iterates flows in flow-ID
+// order and links in first-use order: float accumulation order and the
+// bottleneck tie-break both leak into the simulation. Link scratch lives
+// on the links, so a solve allocates nothing once solveLinks has grown.
+func (f *Fabric) solve() {
+	f.epoch++
+	links := f.solveLinks[:0]
+	for _, fl := range f.active {
 		fl.rate = -1 // unfixed
 		for _, l := range [2]*link{fl.src, fl.dst} {
-			st := states[l]
-			if st == nil {
-				st = &linkState{l: l}
-				states[l] = st
-				linkOrder = append(linkOrder, st)
+			if l.epoch != f.epoch {
+				l.epoch, l.unfixed, l.used = f.epoch, 0, 0
+				links = append(links, l)
 			}
-			st.unfixed++
+			l.unfixed++
 		}
 	}
-	unfixedFlows := len(f.flows)
+	f.solveLinks = links
+	unfixedFlows := len(f.active)
 	for unfixedFlows > 0 {
 		// Find the bottleneck: the link whose equal share for its unfixed
 		// flows is smallest.
-		var bottleneck *linkState
+		var bottleneck *link
 		share := math.Inf(1)
-		for _, st := range linkOrder {
-			if st.unfixed == 0 {
+		for _, l := range links {
+			if l.unfixed == 0 {
 				continue
 			}
-			s := (st.l.effCap() - st.used) / float64(st.unfixed)
+			s := (l.effCap() - l.used) / float64(l.unfixed)
 			if s < share {
 				share = s
-				bottleneck = st
+				bottleneck = l
 			}
 		}
 		if bottleneck == nil {
@@ -511,42 +535,61 @@ func (f *Fabric) resolve() {
 			share = 0
 		}
 		// Fix every unfixed flow crossing the bottleneck at the share.
-		for _, fl := range ordered {
-			if fl.rate >= 0 || (fl.src != bottleneck.l && fl.dst != bottleneck.l) {
+		for _, fl := range f.active {
+			if fl.rate >= 0 || (fl.src != bottleneck && fl.dst != bottleneck) {
 				continue
 			}
 			fl.rate = share
 			unfixedFlows--
 			for _, l := range [2]*link{fl.src, fl.dst} {
-				st := states[l]
-				st.used += share
-				st.unfixed--
+				l.used += share
+				l.unfixed--
 			}
 		}
 	}
-	// Schedule completions.
+}
+
+// arm schedules the one completion timer at the earliest finish instant
+// among flows with a positive rate; on a tie the lowest flow ID wins.
+// Starved flows (zero capacity) hold no timer and are re-solved on the
+// next change. The timer is scheduled at the point where a per-flow
+// scheme would schedule every flow's completion, with no other event in
+// between, and every other finish event would be cancelled before it
+// could fire — so the timer takes exactly the (at, seq) place of the
+// flow it stands for.
+func (f *Fabric) arm() {
 	now := f.env.Now()
-	for _, fl := range ordered {
-		fl.scheduleFinish(now)
+	var next *Flow
+	var at sim.Time
+	for _, fl := range f.active {
+		if fl.rate <= 0 {
+			continue
+		}
+		secs := fl.remaining / fl.rate
+		d := time.Duration(secs*float64(time.Second)) + 1
+		if d < 0 {
+			d = 0
+		}
+		if t := now + sim.Time(d); next == nil || t < at {
+			next, at = fl, t
+		}
+	}
+	if next != nil {
+		f.next = next
+		f.timer = f.env.At(at, f.fire)
 	}
 }
 
-func (fl *Flow) scheduleFinish(now sim.Time) {
-	if fl.rate <= 0 {
-		// Starved (zero capacity); it will be re-solved on the next event.
-		return
-	}
-	secs := fl.remaining / fl.rate
-	fl.finish = fl.fab.env.Schedule(time.Duration(secs*float64(time.Second))+1, func() {
-		fl.fab.complete(fl)
-	})
+// onTimer completes the flow the timer was armed for.
+func (f *Fabric) onTimer() {
+	fl := f.next
+	f.timer, f.next = nil, nil
+	f.complete(fl)
 }
 
 func (f *Fabric) complete(fl *Flow) {
 	f.settleAll()
-	delete(f.flows, fl)
-	delete(fl.src.flows, fl)
-	delete(fl.dst.flows, fl)
+	f.leave(fl)
 	fl.remaining = 0
 	f.resolve()
 	if f.bus.Active() {
@@ -557,7 +600,7 @@ func (f *Fabric) complete(fl *Flow) {
 		}
 		f.bus.Publish(obs.FlowEvent{
 			ID: fl.id, From: fl.from, To: fl.to, Bytes: fl.size,
-			Done: true, Rate: rate, Active: len(f.flows), At: now,
+			Done: true, Rate: rate, Active: len(f.active), At: now,
 		})
 	}
 	if fl.done != nil {
@@ -566,7 +609,7 @@ func (f *Fabric) complete(fl *Flow) {
 }
 
 // ActiveFlows reports how many bulk transfers are currently in flight.
-func (f *Fabric) ActiveFlows() int { return len(f.flows) }
+func (f *Fabric) ActiveFlows() int { return len(f.active) }
 
 // Resolves reports how many times the max-min fair-share solver has run
 // over a non-empty flow set — the hot-path cost driver the perf suite

@@ -104,17 +104,28 @@ func TestRatesRecomputeOnCompletion(t *testing.T) {
 }
 
 func TestSetBandwidthMidTransfer(t *testing.T) {
-	env, f := newTestFabric(t)
-	f.AddNode("a", MBps(100), MBps(100))
-	f.AddNode("b", MBps(100), MBps(100))
-	var doneAt float64
-	// 100 MB at 100 MB/s. At t=0.5s (50 MB through) throttle b to 25 MB/s:
-	// remaining 50 MB takes 2 s => done ~2.5 s.
-	f.Send("a", "b", 100_000_000, func() { doneAt = env.Now().Seconds() })
-	env.Schedule(500*time.Millisecond, func() { f.SetBandwidth("b", MBps(25), MBps(25)) })
-	env.Run()
-	if math.Abs(doneAt-2.5) > 0.01 {
-		t.Fatalf("done at %v, want ~2.5s", doneAt)
+	// 100 MB at 100 MB/s. At t=0.5s (50 MB through) throttle the path to
+	// 25 MB/s, by capacity or by what-if scale: the completion timer is
+	// re-armed and the remaining 50 MB take 2 s => done ~2.5 s.
+	for _, tc := range []struct {
+		name     string
+		throttle func(*Fabric)
+	}{
+		{"capacity", func(f *Fabric) { f.SetBandwidth("b", MBps(25), MBps(25)) }},
+		{"scale", func(f *Fabric) { f.SetBandwidthScale(0.25) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env, f := newTestFabric(t)
+			f.AddNode("a", MBps(100), MBps(100))
+			f.AddNode("b", MBps(100), MBps(100))
+			var doneAt float64
+			f.Send("a", "b", 100_000_000, func() { doneAt = env.Now().Seconds() })
+			env.Schedule(500*time.Millisecond, func() { tc.throttle(f) })
+			env.Run()
+			if math.Abs(doneAt-2.5) > 0.01 {
+				t.Fatalf("done at %v, want ~2.5s", doneAt)
+			}
+		})
 	}
 }
 
@@ -341,5 +352,128 @@ func BenchmarkFabric100Flows(b *testing.B) {
 			fab.Send(string(rune('a'+j%10)), "sink", int64(1_000_000+j*1000), nil)
 		}
 		env.Run()
+	}
+}
+
+// stagger sends n flows of size bytes from ten senders into "sink", one
+// every gap, starting at gap. It returns the fabric after adding the
+// nodes; the sends fire as env runs.
+func stagger(env *sim.Env, n int, size int64, gap time.Duration) *Fabric {
+	f := New(env, DefaultConfig())
+	f.AddNode("sink", MBps(100), MBps(100))
+	for j := 0; j < 10; j++ {
+		f.AddNode(string(rune('a'+j)), MBps(100), MBps(100))
+	}
+	for j := 0; j < n; j++ {
+		from := string(rune('a' + j%10))
+		env.Schedule(time.Duration(j+1)*gap, func() { f.Send(from, "sink", size, nil) })
+	}
+	return f
+}
+
+// stepPeak runs env to completion and reports the most events it ever
+// held queued, tombstones included.
+func stepPeak(env *sim.Env) int {
+	peak := env.Pending()
+	for env.Step() {
+		peak = max(peak, env.Pending())
+	}
+	return peak
+}
+
+// The fabric holds one completion timer, so flows joining one sink at
+// distinct instants leave at most one tombstone per join or completion in
+// the queue, not one per active flow per change.
+func TestFabricTombstonesStayLinear(t *testing.T) {
+	const flows = 100
+	env := sim.NewEnv()
+	f := stagger(env, flows, 10_000_000, time.Millisecond)
+	if peak := stepPeak(env); peak > 3*flows {
+		t.Fatalf("peak pending events = %d, want <= %d", peak, 3*flows)
+	}
+	if f.ActiveFlows() != 0 || env.Pending() != 0 {
+		t.Fatalf("after drain: %d active flows, %d pending events", f.ActiveFlows(), env.Pending())
+	}
+}
+
+// A flow starved by a partition holds no timer; it resumes when the link
+// heals and finishes with the bytes it had left.
+func TestPartitionedFlowHoldsNoTimerAndResumes(t *testing.T) {
+	env, f := newTestFabric(t)
+	f.AddNode("a", MBps(100), MBps(100))
+	f.AddNode("b", MBps(100), MBps(100))
+	var doneAt float64
+	f.Send("a", "b", 10_000_000, func() { doneAt = env.Now().Seconds() })
+	cut, heal := 10*time.Millisecond, time.Second
+	env.Schedule(cut, func() { f.SetLinkFactor("b", 0) })
+	env.Schedule(heal, func() { f.SetLinkFactor("b", 1) })
+	env.RunUntil(sim.Time(cut))
+	if f.timer != nil || f.ActiveFlows() != 1 {
+		t.Fatalf("partitioned flow: timer=%v active=%d, want no timer and 1 flow", f.timer, f.ActiveFlows())
+	}
+	if next := env.NextAt(); next != sim.Time(heal) {
+		t.Fatalf("next live event at %v, want the heal at %v", next, heal)
+	}
+	env.Run()
+	// 10 MB at 100 MB/s from the join at MsgLatency until the cut, the
+	// rest from the heal on.
+	sent := 100e6 * (cut - DefaultConfig().MsgLatency).Seconds()
+	want := heal.Seconds() + (10e6-sent)/100e6
+	if math.Abs(doneAt-want) > 1e-6 {
+		t.Fatalf("done at %vs, want %vs", doneAt, want)
+	}
+}
+
+// Once the solver's link buffer has grown, a solve allocates nothing; a
+// resolve allocates only the kernel event of the one completion timer.
+func TestSteadyStateResolveAllocations(t *testing.T) {
+	env := sim.NewEnv()
+	f := stagger(env, 50, 1_000_000_000, time.Millisecond)
+	env.RunUntil(sim.Time(100 * time.Millisecond))
+	if f.ActiveFlows() != 50 {
+		t.Fatalf("active flows = %d, want 50", f.ActiveFlows())
+	}
+	if a := testing.AllocsPerRun(100, f.solve); a != 0 {
+		t.Fatalf("solve allocates %v per run, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { f.settleAll(); f.resolve() }); a != 1 {
+		t.Fatalf("settle+resolve allocates %v per run, want 1 (the timer event)", a)
+	}
+}
+
+// BenchmarkFabricChurn pins the fabric's kernel cost under contention:
+// 100 staggered flows into one storage link, run to completion. It
+// reports the peak queued events (tombstones included) alongside
+// allocs/op.
+func BenchmarkFabricChurn(b *testing.B) {
+	b.ReportAllocs()
+	peak := 0
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv()
+		stagger(env, 100, 10_000_000, time.Millisecond)
+		peak = max(peak, stepPeak(env))
+	}
+	b.ReportMetric(float64(peak), "pending-peak")
+}
+
+// A latency-scale change between two sends lets the later flow join
+// first; the active set still comes out in flow-ID order, and both flows
+// share the link and finish.
+func TestOutOfOrderJoinKeepsFlowIDOrder(t *testing.T) {
+	env, f := newTestFabric(t)
+	f.AddNode("a", MBps(100), MBps(100))
+	f.AddNode("b", MBps(100), MBps(100))
+	done := 0
+	f.SetLatencyScale(10)
+	first := f.Send("a", "b", 10_000_000, func() { done++ })
+	f.SetLatencyScale(0)
+	second := f.Send("a", "b", 10_000_000, func() { done++ })
+	env.RunUntil(sim.Time(10 * DefaultConfig().MsgLatency))
+	if len(f.active) != 2 || f.active[0] != first || f.active[1] != second {
+		t.Fatalf("active set not in flow-ID order after out-of-order joins")
+	}
+	env.Run()
+	if done != 2 || f.ActiveFlows() != 0 {
+		t.Fatalf("done=%d active=%d, want 2 and 0", done, f.ActiveFlows())
 	}
 }

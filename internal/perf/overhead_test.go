@@ -1,6 +1,8 @@
 package perf
 
 import (
+	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -45,10 +47,11 @@ func TestDispatchObsIdleAddsNoAllocs(t *testing.T) {
 }
 
 // TestDispatchObsIdleOverheadUnder10Pct asserts the headline self-overhead
-// budget: an idle bus may cost at most 10% of engine dispatch time. Each
-// side takes the minimum of several trials — minimum, not mean, because
-// scheduler noise only ever adds time, so min-of-N is the stable estimate
-// of the true cost.
+// budget: an idle bus may cost at most 10% of engine dispatch time. The
+// estimate is the median over interleaved pairs, each timing one obs-off
+// and one obs-idle batch back to back (alternating which goes first), so
+// host-speed drift and a stray GC or preemption land in a single pair
+// rather than in one whole side of the comparison.
 func TestDispatchObsIdleOverheadUnder10Pct(t *testing.T) {
 	if raceEnabled {
 		t.Skip("timing assertion skipped under -race")
@@ -56,31 +59,38 @@ func TestDispatchObsIdleOverheadUnder10Pct(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing assertion skipped in -short mode")
 	}
-	const trials = 5
+	const pairs = 9
 	const batch = 40
-	measure := func(om ObsMode) time.Duration {
-		once := dispatchOnce(t, om)
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < trials; i++ {
-			start := time.Now()
-			for j := 0; j < batch; j++ {
-				once()
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
+	off, idle := dispatchOnce(t, ObsOff), dispatchOnce(t, ObsIdle)
+	timed := func(once func()) time.Duration {
+		runtime.GC()
+		start := time.Now()
+		for j := 0; j < batch; j++ {
+			once()
 		}
-		return best
+		return time.Since(start)
 	}
-	off := measure(ObsOff)
-	idle := measure(ObsIdle)
-	if off <= 0 {
-		t.Fatalf("obs-off batch measured %v — clock resolution too coarse", off)
+	overheads := make([]float64, pairs)
+	for i := range overheads {
+		var o, d time.Duration
+		if i%2 == 0 {
+			o = timed(off)
+			d = timed(idle)
+		} else {
+			d = timed(idle)
+			o = timed(off)
+		}
+		if o <= 0 {
+			t.Fatalf("obs-off batch measured %v — clock resolution too coarse", o)
+		}
+		overheads[i] = float64(d-o) / float64(o)
 	}
-	overhead := float64(idle-off) / float64(off)
-	t.Logf("dispatch batch: obs-off=%v obs-idle=%v overhead=%.1f%%", off, idle, overhead*100)
-	if overhead > 0.10 {
-		t.Fatalf("idle obs bus costs %.1f%% of engine dispatch, budget is 10%%", overhead*100)
+	sort.Float64s(overheads)
+	median := overheads[pairs/2]
+	t.Logf("dispatch batch overhead over %d pairs: median %.1f%%, range %.1f%%..%.1f%%",
+		pairs, median*100, overheads[0]*100, overheads[pairs-1]*100)
+	if median > 0.10 {
+		t.Fatalf("idle obs bus costs %.1f%% of engine dispatch (median of %d pairs), budget is 10%%", median*100, pairs)
 	}
 }
 

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -38,7 +37,6 @@ type Event struct {
 	at       Time
 	seq      uint64
 	fn       func()
-	index    int // heap index, -1 when not queued
 	canceled bool
 }
 
@@ -52,34 +50,91 @@ func (ev *Event) Cancel() { ev.canceled = true }
 // Canceled reports whether Cancel was called on the event.
 func (ev *Event) Canceled() bool { return ev.canceled }
 
+// before reports whether ev fires before o: earlier instant first, then
+// scheduling order.
+func (ev *Event) before(o *Event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
+	}
+	return ev.seq < o.seq
+}
+
+// eventQueue is a binary min-heap of events ordered by (at, seq). The
+// sift loops are written out over the concrete slice so the kernel's
+// hottest path makes no interface calls and boxes nothing.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (q *eventQueue) push(ev *Event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	h[i] = ev
+	*q = h
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+// pop removes and returns the earliest event. The queue must be non-empty.
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = nil
+	h = h[:n]
+	if n > 0 {
+		h.down(0)
+	}
+	*q = h
+	return top
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
+
+// down sifts h[i] toward the leaves until the heap order holds below it.
+func (h eventQueue) down(i int) {
+	ev := h[i]
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = ev
 }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+
+// sweep drops cancelled events and restores the heap order. Pop order is
+// fixed by the total (at, seq) order, so dropping tombstones early changes
+// nothing but the queue length.
+func (q *eventQueue) sweep() {
+	h := *q
+	live := h[:0]
+	for _, ev := range h {
+		if !ev.canceled {
+			live = append(live, ev)
+		}
+	}
+	clear(h[len(live):])
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		live.down(i)
+	}
+	*q = live
 }
+
+// minSweep is the queue length below which At never sweeps.
+const minSweep = 64
 
 // Env is a discrete-event simulation environment. It is not safe for
 // concurrent use; the whole simulation is single-threaded by design so that
@@ -90,6 +145,12 @@ type Env struct {
 	nextSeq uint64
 	fired   uint64
 	running bool
+	// sweepAt is the queue length at which At next sweeps out cancelled
+	// events: twice the live count left by the last sweep. A cancelled
+	// timer far in the future (a keep-alive expiry, say) would otherwise
+	// sit in the heap until its instant; sweeping keeps tombstones to
+	// about the live count, at O(1) amortized cost per At.
+	sweepAt int
 }
 
 // NewEnv returns an environment with the clock at zero and an empty queue.
@@ -123,16 +184,20 @@ func (e *Env) At(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: scheduling nil callback")
 	}
-	ev := &Event{at: t, seq: e.nextSeq, fn: fn, index: -1}
+	ev := &Event{at: t, seq: e.nextSeq, fn: fn}
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
+	if len(e.queue) >= max(e.sweepAt, minSweep) {
+		e.queue.sweep()
+		e.sweepAt = 2 * len(e.queue)
+	}
+	e.queue.push(ev)
 	return ev
 }
 
 // Step fires the next event. It reports false when the queue is empty.
 func (e *Env) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+		ev := e.queue.pop()
 		if ev.canceled {
 			continue
 		}
@@ -179,7 +244,7 @@ func (e *Env) RunUntil(deadline Time) {
 func (e *Env) peek() (Time, bool) {
 	for len(e.queue) > 0 {
 		if e.queue[0].canceled {
-			heap.Pop(&e.queue)
+			e.queue.pop()
 			continue
 		}
 		return e.queue[0].at, true

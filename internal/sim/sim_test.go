@@ -333,3 +333,97 @@ func BenchmarkScheduleRun(b *testing.B) {
 		env.Run()
 	}
 }
+
+// Property: under random interleavings of At, Cancel and Step, the heap
+// pops live events in exactly the order of a sorted (at, seq) reference,
+// and cancelling an event that already fired changes nothing. Even seeds
+// schedule more than they step, so the queue grows deep, fills with
+// tombstones and is swept many times.
+func TestHeapMatchesSortedReference(t *testing.T) {
+	type ref struct {
+		at Time
+		id int
+		ev *Event
+	}
+	earlier := func(a, b ref) bool { return a.at < b.at || (a.at == b.at && a.id < b.id) }
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := NewRand(seed)
+		env := NewEnv()
+		var live, done []ref
+		var fired []int
+		nextID := 0
+		grow := 0
+		if seed%2 == 0 {
+			grow = 1
+		}
+		step := func() {
+			best := -1
+			for i := range live {
+				if best < 0 || earlier(live[i], live[best]) {
+					best = i
+				}
+			}
+			n := len(fired)
+			if !env.Step() {
+				if best >= 0 {
+					t.Fatalf("seed %d: Step reported empty with %d live events", seed, len(live))
+				}
+				return
+			}
+			if best < 0 {
+				t.Fatalf("seed %d: Step fired an event with none live", seed)
+			}
+			want := live[best]
+			if len(fired) != n+1 || fired[n] != want.id || env.Now() != want.at {
+				t.Fatalf("seed %d: fired %v at %v, want id %d at %v", seed, fired[n:], env.Now(), want.id, want.at)
+			}
+			live = append(live[:best], live[best+1:]...)
+			done = append(done, want)
+		}
+		for op := 0; op < 3000; op++ {
+			switch k := r.Intn(10) - grow; {
+			case k < 5:
+				// A narrow window of instants forces many (at) ties, so
+				// the seq tie-break is exercised.
+				id := nextID
+				nextID++
+				at := env.Now() + Time(r.Intn(40))
+				ev := env.At(at, func() { fired = append(fired, id) })
+				live = append(live, ref{at: at, id: id, ev: ev})
+			case k < 7 && len(live) > 0:
+				i := r.Intn(len(live))
+				live[i].ev.Cancel()
+				live = append(live[:i], live[i+1:]...)
+			case k < 8 && len(done) > 0:
+				done[r.Intn(len(done))].ev.Cancel()
+			default:
+				step()
+			}
+		}
+		for len(live) > 0 {
+			step()
+		}
+		if env.Step() || env.Pending() != 0 {
+			t.Fatalf("seed %d: queue not drained: %d pending", seed, env.Pending())
+		}
+	}
+}
+
+// Cancelled events far in the future are swept out of the queue instead
+// of waiting for their instant, so Pending stays bounded by the live
+// events rather than growing with every cancellation.
+func TestCancelledEventsAreSwept(t *testing.T) {
+	env := NewEnv()
+	fired := false
+	env.Schedule(time.Hour, func() { fired = true })
+	for i := 0; i < 10_000; i++ {
+		env.Schedule(time.Minute, func() { t.Fatal("cancelled event fired") }).Cancel()
+		if env.Pending() > minSweep+1 {
+			t.Fatalf("after %d cancellations %d events pending, want <= %d", i+1, env.Pending(), minSweep+1)
+		}
+	}
+	env.Run()
+	if !fired || env.Now() != Time(time.Hour) || env.Pending() != 0 {
+		t.Fatalf("live event fired=%v at %v, %d pending", fired, env.Now(), env.Pending())
+	}
+}
