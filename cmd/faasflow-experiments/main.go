@@ -1,14 +1,17 @@
 // Command faasflow-experiments regenerates every table and figure of the
 // FaaSFlow paper's evaluation (plus the §2 motivation figures) on the
-// simulated testbed.
+// simulated testbed, and runs the gated scenarios of harness.Scenarios.
 //
 //	faasflow-experiments -run all
 //	faasflow-experiments -run fig12 -n 200
 //	faasflow-experiments -run table4,fig13
+//	faasflow-experiments -run chaos,overload,durable,fastpath,federation,tenants -snapshots dir
 //
 // Experiments: fig4, fig5, fig11, table4, fig12, fig13, fig14, fig15,
-// fig16, sec57. -n scales invocation counts (default 1000, the paper's
-// count, for closed/open loops; co-location uses n/10).
+// fig16, sec57, coldstart, claims. -n scales their invocation counts
+// (default 1000, the paper's count, for closed/open loops; co-location
+// uses n/10). Scenarios run at fixed sizes, ignore -n, and exit non-zero
+// when their gate fails; -snapshots writes their flight recorders.
 package main
 
 import (
@@ -18,13 +21,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/harness"
 	"repro/internal/metrics"
-	"repro/internal/network"
 	"repro/internal/perf"
 	"repro/internal/whatif"
 )
@@ -70,15 +73,8 @@ func emit(name string, t *metrics.Table) {
 
 func main() {
 	var (
-		run      = flag.String("run", "all", "comma-separated experiment list or 'all'")
-		n        = flag.Int("n", 1000, "invocations per measurement")
-		snap     = flag.String("snapshot", "", "also write a flight-recorder snapshot (Gen+Vid on FaaSFlow-FaaStore) to this file")
-		chaos    = flag.Bool("chaos", false, "run only the chaos availability scenario (shorthand for -run chaos)")
-		overload = flag.Bool("overload", false, "run only the overload-control scenario (shorthand for -run overload)")
-		durable  = flag.Bool("durable", false, "run only the durable-execution scenario (shorthand for -run durable)")
-		fastpath = flag.Bool("fastpath", false, "run only the data-plane fast-path scenario (shorthand for -run fastpath)")
-		fed      = flag.Bool("federation", false, "run only the engine-federation failover scenario (shorthand for -run federation)")
-		tenants  = flag.Bool("tenants", false, "run only the multi-tenant noisy-neighbor scenario (shorthand for -run tenants)")
+		run = flag.String("run", "all", "comma-separated experiment and scenario list, or 'all'")
+		n   = flag.Int("n", 1000, "invocations per measurement")
 
 		benchjson  = flag.String("benchjson", "", "run the perf suite and write a BENCH snapshot to this file (skips experiments unless -run is passed explicitly)")
 		whatifOut  = flag.String("whatif", "", "run the causal what-if sweep on Genome and write the profile JSON to this file (skips experiments unless -run is passed explicitly)")
@@ -91,13 +87,7 @@ func main() {
 	)
 	flag.StringVar(&csvDir, "csv", "", "also write each experiment's table as CSV into this directory")
 	flag.StringVar(&svgDir, "svg", "", "also write each experiment's figure as SVG into this directory")
-	flag.StringVar(&chaosSnapDir, "chaos-snapshots", "", "write each chaos mode's flight-recorder snapshot into this directory")
-	flag.BoolVar(&noAdmission, "no-admission", false, "overload counterfactual: disable front-door admission control (the goodput gate is expected to fail)")
-	flag.StringVar(&overloadSnapDir, "overload-snapshots", "", "write each overload rate point's flight-recorder snapshot into this directory")
-	flag.StringVar(&durableSnapDir, "durable-snapshots", "", "write each durable mode×scenario's flight-recorder snapshot into this directory")
-	flag.StringVar(&fastpathSnapDir, "fastpath-snapshots", "", "write each fast-path mode×variant's flight-recorder snapshot into this directory")
-	flag.StringVar(&fedSnapDir, "federation-snapshots", "", "write each federation mode×scenario's flight-recorder snapshot into this directory")
-	flag.StringVar(&tenantSnapDir, "tenants-snapshots", "", "write each tenancy mode's flight-recorder snapshot into this directory")
+	flag.StringVar(&snapDir, "snapshots", "", "write each scenario's flight-recorder snapshots into this directory")
 	flag.Parse()
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -132,25 +122,16 @@ func main() {
 		// still run when -run is given alongside.
 		*run = ""
 	}
-	if *chaos {
-		*run = "chaos"
+	selected, err := selectExperiments(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "faasflow-experiments:", err)
+		os.Exit(2)
 	}
-	if *overload {
-		*run = "overload"
+	if len(selected) == 0 && *benchjson == "" && *whatifOut == "" {
+		fmt.Fprintf(os.Stderr, "faasflow-experiments: nothing to run; known: %s\n", knownExperiments())
+		os.Exit(2)
 	}
-	if *durable {
-		*run = "durable"
-	}
-	if *fastpath {
-		*run = "fastpath"
-	}
-	if *fed {
-		*run = "federation"
-	}
-	if *tenants {
-		*run = "tenants"
-	}
-	for _, dir := range []string{csvDir, svgDir, chaosSnapDir, overloadSnapDir, durableSnapDir, fastpathSnapDir, fedSnapDir, tenantSnapDir} {
+	for _, dir := range []string{csvDir, svgDir, snapDir} {
 		if dir == "" {
 			continue
 		}
@@ -160,17 +141,7 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
-	ran := 0
-	for _, exp := range experiments {
-		if !all && !want[exp.name] {
-			continue
-		}
-		ran++
+	for _, exp := range selected {
 		fmt.Printf("== %s: %s ==\n", exp.name, exp.title)
 		start := time.Now()
 		if err := exp.run(*n); err != nil {
@@ -178,25 +149,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("(%s completed in %v)\n\n", exp.name, time.Since(start).Round(time.Millisecond))
-	}
-	if *snap != "" {
-		inv := *n
-		if inv > 50 {
-			inv = 50 // the snapshot holds the full event log; cap its size
-		}
-		s, err := harness.RunSnapshot(harness.FaaSFlowFaaStore, []string{"Gen", "Vid"}, inv,
-			network.MBps(50), map[string]string{"source": "faasflow-experiments"})
-		if err == nil {
-			var data []byte
-			if data, err = s.Marshal(); err == nil {
-				err = os.WriteFile(*snap, data, 0o644)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "faasflow-experiments: snapshot:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("snapshot: wrote %s (%d events)\n", *snap, len(s.Events))
 	}
 	if *benchjson != "" {
 		if err := runBench(*benchjson, *benchseq, *benchquick); err != nil {
@@ -210,10 +162,44 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if ran == 0 && *snap == "" && *benchjson == "" && *whatifOut == "" {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; known: fig4 fig5 fig11 table4 fig12 fig13 fig14 fig15 fig16 sec57 coldstart claims chaos overload durable fastpath federation tenants\n", *run)
-		os.Exit(1)
+}
+
+// selectExperiments resolves a comma-separated -run list ("all" selects
+// everything) into experiments in table order. An unknown name is an
+// error, so a typo cannot silently skip a gated scenario.
+func selectExperiments(list string) ([]experiment, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		if name = strings.TrimSpace(name); name != "" {
+			want[name] = true
+		}
 	}
+	var selected []experiment
+	for _, exp := range experiments {
+		if want["all"] || want[exp.name] {
+			selected = append(selected, exp)
+			delete(want, exp.name)
+		}
+	}
+	delete(want, "all")
+	if len(want) > 0 {
+		unknown := make([]string, 0, len(want))
+		for name := range want {
+			unknown = append(unknown, name)
+		}
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown experiment %s; known: %s", strings.Join(unknown, ", "), knownExperiments())
+	}
+	return selected, nil
+}
+
+// knownExperiments lists every -run name in table order.
+func knownExperiments() string {
+	names := make([]string, len(experiments))
+	for i, exp := range experiments {
+		names[i] = exp.name
+	}
+	return strings.Join(names, " ")
 }
 
 // flagPassed reports whether the named flag appeared on the command line.
@@ -265,7 +251,7 @@ func runBench(path string, seq int, quick bool) error {
 // runWhatIf executes the full virtual-speedup sweep on the canonical Genome
 // scenario and writes the causal-profile artifact. The sweep is exact and
 // deterministic: same width, n, and seed produce a byte-identical file,
-// which is what the CI whatif smoke job diffs.
+// which is what the CI scenarios job diffs.
 func runWhatIf(path string, width, n int) error {
 	fmt.Printf("== whatif: causal sweep (Genome width %d, n %d) ==\n", width, n)
 	start := time.Now()
@@ -289,10 +275,14 @@ func runWhatIf(path string, width, n int) error {
 	return nil
 }
 
-var experiments = []struct {
+// experiment is one -run target.
+type experiment struct {
 	name, title string
 	run         func(n int) error
-}{
+}
+
+// experiments lists the paper's figures followed by harness.Scenarios.
+var experiments = append([]experiment{
 	{"fig4", "MasterSP scheduling overhead (HyperFlow-serverless)", runFig4},
 	{"fig5", "data movement: monolithic vs FaaS", runFig5},
 	{"fig11", "scheduling overhead: HyperFlow-serverless vs FaaSFlow", runFig11},
@@ -305,193 +295,46 @@ var experiments = []struct {
 	{"sec57", "workflow engine component overhead", runSec57},
 	{"coldstart", "keep-alive vs cold-start trade-off (extension)", runColdStart},
 	{"claims", "the paper's derived headline claims", runClaims},
-	{"chaos", "chaos availability: kill a worker mid-run, require zero lost invocations", runChaos},
-	{"overload", "overload control: sweep arrival rate past saturation, require graceful degradation", runOverload},
-	{"durable", "durable execution: engine crash replays the journal, node kill reads replicas", runDurable},
-	{"fastpath", "data-plane fast path: direct passing, pre-warm, memoization vs the store-hop baseline", runFastPath},
-	{"federation", "engine federation: rolling member kills fail over by lease expiry and journal handoff", runFederation},
-	{"tenants", "multi-tenant isolation: one noisy tenant at 10x fair share, zero starvation required", runTenants},
-}
+}, scenarioExperiments()...)
 
-// tenantSnapDir, when set, receives each tenancy mode's snapshot as
-// tenancy-<mode>.json — byte-identical across same-seed runs, which is what
-// the CI tenancy smoke job diffs.
-var tenantSnapDir string
+// snapDir, when set, receives every scenario snapshot under its Report
+// name; same-seed runs write byte-identical files.
+var snapDir string
 
-func runTenants(int) error {
-	rows, err := harness.Tenancy(harness.TenancySpec{}, nil)
-	if err != nil {
-		return err
-	}
-	emit("tenants", harness.RenderTenancy(rows))
-	for _, r := range rows {
-		fmt.Printf("%s: saturation %.2f/s, fair share %.3f/s per tenant, aggregate goodput %d (single-tenant reference %d), shed %d\n",
-			r.Mode, r.SatRate, r.FairRate, r.AggGoodput, r.RefGoodput, r.Shed)
-		if tenantSnapDir == "" {
-			continue
-		}
-		data, err := r.Snapshot.Marshal()
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("tenancy-%s.json", r.Mode)
-		if err := os.WriteFile(filepath.Join(tenantSnapDir, name), data, 0o644); err != nil {
-			return err
-		}
-	}
-	return harness.CheckTenancy(rows, 0.9, 0.1)
-}
-
-// durableSnapDir, when set, receives each durable mode×scenario snapshot as
-// durable-<mode>-<scenario>.json — byte-identical across same-seed runs,
-// which is what the CI durable smoke job diffs.
-var durableSnapDir string
-
-func runDurable(n int) error {
-	inv := n
-	if inv > 40 {
-		inv = 40 // like chaos: the scenario needs in-flight overlap, not volume
-	}
-	rows, err := harness.Durable(harness.DurableSpec{Invocations: inv}, nil)
-	if err != nil {
-		return err
-	}
-	emit("durable", harness.RenderDurable(rows))
-	if durableSnapDir != "" {
-		for _, r := range rows {
-			data, err := r.Snapshot.Marshal()
+// scenarioExperiments wraps each harness scenario as an experiment: print
+// its table and notes, write its snapshots, then fail on its gate.
+func scenarioExperiments() []experiment {
+	exps := make([]experiment, len(harness.Scenarios))
+	for i, sc := range harness.Scenarios {
+		exps[i] = experiment{sc.Name, sc.Title, func(int) error {
+			rep, err := sc.Run()
 			if err != nil {
 				return err
 			}
-			name := fmt.Sprintf("durable-%s-%s.json", r.Mode, r.Scenario)
-			if err := os.WriteFile(filepath.Join(durableSnapDir, name), data, 0o644); err != nil {
+			emit(sc.Name, rep.Table)
+			for _, note := range rep.Notes {
+				fmt.Println(note)
+			}
+			if err := writeSnapshots(rep); err != nil {
 				return err
 			}
-		}
+			return rep.Gate
+		}}
 	}
-	return harness.CheckDurable(rows)
+	return exps
 }
 
-// fastpathSnapDir, when set, receives each fast-path mode×variant snapshot
-// as fastpath-<mode>-<variant>.json — byte-identical across same-seed runs,
-// which is what the CI fastpath smoke job diffs.
-var fastpathSnapDir string
-
-func runFastPath(n int) error {
-	inv := n
-	if inv > 20 {
-		inv = 20 // the sweep runs 8 mode×variant scenarios; volume adds nothing
+// writeSnapshots writes rep's snapshots into snapDir, when set.
+func writeSnapshots(rep harness.Report) error {
+	if snapDir == "" {
+		return nil
 	}
-	rows, err := harness.FastPath(harness.FastPathSpec{Invocations: inv}, nil)
-	if err != nil {
-		return err
-	}
-	emit("fastpath", harness.RenderFastPath(rows))
-	if fastpathSnapDir != "" {
-		for _, r := range rows {
-			data, err := r.Snapshot.Marshal()
-			if err != nil {
-				return err
-			}
-			name := fmt.Sprintf("fastpath-%s-%s.json", r.Mode, r.Variant)
-			if err := os.WriteFile(filepath.Join(fastpathSnapDir, name), data, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	return harness.CheckFastPath(rows)
-}
-
-// fedSnapDir, when set, receives each federation mode×scenario snapshot as
-// federation-<mode>-<scenario>.json — byte-identical across same-seed runs
-// (claim-race winners included), which is what the CI federation smoke job
-// diffs.
-var fedSnapDir string
-
-func runFederation(n int) error {
-	inv := n
-	if inv > 24 {
-		inv = 24 // the scenario needs kills landing mid-flight, not volume
-	}
-	rows, err := harness.Federation(harness.FederationSpec{Invocations: inv}, nil)
-	if err != nil {
-		return err
-	}
-	emit("federation", harness.RenderFederation(rows))
-	if fedSnapDir != "" {
-		for _, r := range rows {
-			data, err := r.Snapshot.Marshal()
-			if err != nil {
-				return err
-			}
-			name := fmt.Sprintf("federation-%s-%s.json", r.Mode, r.Scenario)
-			if err := os.WriteFile(filepath.Join(fedSnapDir, name), data, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	return harness.CheckFederation(rows)
-}
-
-// noAdmission disables the overload scenario's front-door admission
-// control; overloadSnapDir, when set, receives each rate point's snapshot
-// as overload-<mode>-x<multiplier>.json.
-var (
-	noAdmission     bool
-	overloadSnapDir string
-)
-
-func runOverload(int) error {
-	spec := harness.OverloadSpec{NoAdmission: noAdmission}
-	rows, err := harness.Overload(spec, nil)
-	if err != nil {
-		return err
-	}
-	emit("overload", harness.RenderOverload(rows))
-	for _, r := range rows {
-		if overloadSnapDir == "" {
-			continue
-		}
-		data, err := r.Snapshot.Marshal()
+	for _, s := range rep.Snapshots {
+		data, err := s.Snapshot.Marshal()
 		if err != nil {
 			return err
 		}
-		name := fmt.Sprintf("overload-%s-x%g.json", r.Mode, r.Multiplier)
-		if err := os.WriteFile(filepath.Join(overloadSnapDir, name), data, 0o644); err != nil {
-			return err
-		}
-	}
-	return harness.CheckOverload(rows, 0.7)
-}
-
-// chaosSnapDir, when set, receives each chaos mode's flight-recorder
-// snapshot as chaos-<mode>.json — byte-identical across same-seed runs,
-// which is what the CI chaos smoke job diffs.
-var chaosSnapDir string
-
-func runChaos(n int) error {
-	inv := n
-	if inv > 40 {
-		inv = 40 // chaos needs in-flight overlap, not volume
-	}
-	rows, err := harness.Chaos(harness.ChaosSpec{Invocations: inv}, nil)
-	if err != nil {
-		return err
-	}
-	emit("chaos", harness.RenderChaos(rows))
-	for _, r := range rows {
-		if r.Lost > 0 {
-			return fmt.Errorf("chaos: %s lost %d of %d invocations", r.Mode, r.Lost, r.Invocations)
-		}
-		if chaosSnapDir == "" {
-			continue
-		}
-		data, err := r.Snapshot.Marshal()
-		if err != nil {
-			return err
-		}
-		path := filepath.Join(chaosSnapDir, "chaos-"+r.Mode.String()+".json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(snapDir, s.Name), data, 0o644); err != nil {
 			return err
 		}
 	}

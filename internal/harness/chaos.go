@@ -16,169 +16,92 @@ import (
 // This file drives the chaos-availability scenario: kill a worker node
 // mid-run while invocations are in flight and verify that the engine's
 // recovery layer (task timeouts, re-placement, mode-specific re-issue)
-// completes every invocation anyway. The run is fully deterministic —
-// seeded arrivals, a scheduled fault window — so two runs with the same
-// spec produce byte-identical snapshots, which is what the CI chaos smoke
-// job diffs.
+// completes every invocation anyway. Seeded arrivals and a scheduled fault
+// window keep the run deterministic.
 
-// ChaosSpec configures one chaos-availability run. Zero values take
-// defaults sized so the fault window overlaps in-flight work.
-type ChaosSpec struct {
-	Bench       string        // benchmark short name (default "IR")
-	Invocations int           // invocations per mode (default 20)
-	Interval    time.Duration // open-loop arrival spacing (default 400ms)
-	DownFor     time.Duration // victim outage window (default 5s)
-	Seed        uint64
+// Fault-scenario sizes, shared by chaos and durable: the arrival window
+// is long enough that a kill halfway through it strands in-flight work.
+const (
+	faultInvocations = 20
+	faultInterval    = 400 * time.Millisecond
+	faultDownFor     = 5 * time.Second
+	faultKillAt      = faultInterval * faultInvocations / 2
+)
 
-	// EngineKillAt, when > 0, additionally crashes the workflow engine at
-	// that offset: a journal is attached to the deployment and the engine
-	// recovers by replay after EngineDownFor (default DownFor).
-	EngineKillAt  time.Duration
-	EngineDownFor time.Duration
+// chaosRow is one mode's chaos-availability measurement.
+type chaosRow struct {
+	mode   engine.Mode
+	victim string // worker killed mid-run
+	tally
+	stats engine.FailureStats
+	// durable carries journal/replay counters when an engine crash was
+	// armed (zero-valued otherwise).
+	durable  engine.DurableStats
+	snapshot *obs.Snapshot
 }
 
-func (s ChaosSpec) withDefaults() ChaosSpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Invocations == 0 {
-		s.Invocations = 20
-	}
-	if s.Interval == 0 {
-		s.Interval = 400 * time.Millisecond
-	}
-	if s.DownFor == 0 {
-		s.DownFor = 5 * time.Second
-	}
-	if s.EngineKillAt > 0 && s.EngineDownFor == 0 {
-		s.EngineDownFor = s.DownFor
-	}
-	return s
-}
-
-// ChaosRow is one mode's chaos-availability measurement.
-type ChaosRow struct {
-	Mode        engine.Mode
-	Victim      string        // worker killed mid-run
-	KillAt      time.Duration // fault instant
-	DownFor     time.Duration
-	Invocations int
-	Completed   int // invocations that finished (Failed or not)
-	FailedInv   int // completed with the Failed flag (budget exhausted)
-	Lost        int // invocations that never completed — must be zero
-	Stats       engine.FailureStats
-	// Durable carries journal/replay counters when EngineKillAt armed an
-	// engine crash (zero-valued otherwise).
-	Durable engine.DurableStats
-	Mean    time.Duration
-	P99     time.Duration
-	// Snapshot is the run's full flight-recorder snapshot; identical specs
-	// yield byte-identical snapshots.
-	Snapshot *obs.Snapshot
-}
-
-// Chaos runs the chaos-availability scenario once per mode: deploy the
-// benchmark with recovery enabled, start staggered invocations, kill the
-// worker hosting the most placed tasks halfway through the arrival window,
-// recover it after DownFor, and run the simulation dry.
-func Chaos(spec ChaosSpec, modes []engine.Mode) ([]ChaosRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []ChaosRow
-	for _, mode := range modes {
-		row, err := chaosOne(spec, mode)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-func chaosOne(spec ChaosSpec, mode engine.Mode) (ChaosRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return ChaosRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := NewTestbed(ClusterSpec{FaaStore: true, Seed: spec.Seed})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
-
-	opts := engine.Options{
-		Mode: mode,
-		Data: engine.DataStore,
-		// The timeout must exceed the longest healthy attempt end-to-end
-		// (acquire queue + cold start + fetch + exec + store), or healthy
-		// work gets re-issued; it bounds how long a stranded task waits
-		// before the recovery path kicks in.
-		TaskTimeout: 20 * time.Second,
-		BackoffBase: 200 * time.Millisecond,
-		BackoffMax:  5 * time.Second,
-		MaxReissues: 10,
-	}
-	if spec.EngineKillAt > 0 {
-		opts.Journal = journal.New(tb.Env, journal.Config{})
-	}
-	d, err := tb.Deploy(bench, opts)
+func chaosReport() (Report, error) {
+	// The registered run kills only the node: no engine crash.
+	rows, err := sweep([]time.Duration{0}, chaosOne)
 	if err != nil {
-		return ChaosRow{}, fmt.Errorf("harness: chaos deploy %s/%s: %w", spec.Bench, mode, err)
+		return Report{}, err
+	}
+	rep := Report{Table: renderChaos(rows), Gate: checkChaos(rows)}
+	for _, r := range rows {
+		rep.addSnapshot("chaos-"+r.mode.String(), r.snapshot)
+	}
+	return rep, nil
+}
+
+// chaosOne deploys the benchmark with recovery enabled, starts staggered
+// invocations, kills the worker hosting the most placed tasks halfway
+// through the arrival window, recovers it after faultDownFor, and runs the
+// simulation dry. engineKillAt > 0 additionally crashes the engine at that
+// offset: a journal is attached and the engine recovers by replay after
+// faultDownFor.
+func chaosOne(mode engine.Mode, engineKillAt time.Duration) (chaosRow, error) {
+	tb := NewTestbed(ClusterSpec{FaaStore: true})
+	bus, log := recordedBus(tb)
+	var jr *journal.WAL
+	if engineKillAt > 0 {
+		jr = journal.New(tb.Env, journal.Config{})
+	}
+	d, err := tb.Deploy(workloads.ByName(scenarioBench), recoveryOptions(mode, jr))
+	if err != nil {
+		return chaosRow{}, fmt.Errorf("harness: chaos deploy %s/%s: %w", scenarioBench, mode, err)
 	}
 
 	victim := chaosVictim(d.Placement.Worker, tb.Workers)
-	killAt := spec.Interval * time.Duration(spec.Invocations) / 2
 	inj := faults.NewInjector(tb.Env, tb.Runtime.Nodes, tb.Fabric, tb.Runtime.Store, bus)
 	schedule := faults.Schedule{{
 		Kind:     faults.NodeDown,
 		Node:     victim,
-		At:       killAt,
-		Duration: spec.DownFor,
+		At:       faultKillAt,
+		Duration: faultDownFor,
 	}}
-	if spec.EngineKillAt > 0 {
+	if engineKillAt > 0 {
 		inj.AttachEngines(d.Engine)
 		schedule = append(schedule, faults.Fault{
-			Kind: faults.EngineDown, At: spec.EngineKillAt, Duration: spec.EngineDownFor,
+			Kind: faults.EngineDown, At: engineKillAt, Duration: faultDownFor,
 		})
 	}
 	if err := inj.Install(schedule); err != nil {
-		return ChaosRow{}, err
+		return chaosRow{}, err
 	}
 
-	rec := &metrics.Recorder{}
-	completed, failed := 0, 0
-	for i := 0; i < spec.Invocations; i++ {
-		delay := time.Duration(i) * spec.Interval
-		tb.Env.Schedule(delay, func() {
-			d.Engine.Invoke(func(r engine.Result) {
-				completed++
-				if r.Failed {
-					failed++
-				}
-				rec.Add(r.Latency())
-			})
-		})
-	}
+	t := tally{invocations: faultInvocations}
+	stagger(tb.Env, 0, faultInterval, faultInvocations, func() { d.Engine.Invoke(t.done) })
 	tb.Env.Run()
 
-	return ChaosRow{
-		Mode:        mode,
-		Victim:      victim,
-		KillAt:      killAt,
-		DownFor:     spec.DownFor,
-		Invocations: spec.Invocations,
-		Completed:   completed,
-		FailedInv:   failed,
-		Lost:        spec.Invocations - completed,
-		Stats:       d.Engine.FailureStatsSnapshot(),
-		Durable:     d.Engine.DurableStatsSnapshot(),
-		Mean:        rec.Mean(),
-		P99:         rec.P99(),
-		Snapshot: obs.BuildSnapshot(log, map[string]string{
+	return chaosRow{
+		mode:    mode,
+		victim:  victim,
+		tally:   t,
+		stats:   d.Engine.FailureStatsSnapshot(),
+		durable: d.Engine.DurableStatsSnapshot(),
+		snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "chaos",
-			"bench":    spec.Bench,
+			"bench":    scenarioBench,
 			"mode":     mode.String(),
 		}),
 	}, nil
@@ -201,18 +124,36 @@ func chaosVictim(place map[dag.NodeID]string, workers []string) string {
 	return best
 }
 
-// RenderChaos builds the chaos-availability table.
-func RenderChaos(rows []ChaosRow) *metrics.Table {
+// checkChaos is the availability gate: per mode, every invocation
+// completed without exhausting its recovery budget, and the node death
+// was actually absorbed by re-placement and re-issue, not luck.
+func checkChaos(rows []chaosRow) error {
+	for _, r := range rows {
+		switch {
+		case r.lost() != 0:
+			return fmt.Errorf("chaos %s: lost %d of %d invocations", r.mode, r.lost(), r.invocations)
+		case r.failed != 0:
+			return fmt.Errorf("chaos %s: %d invocations exhausted their recovery budget", r.mode, r.failed)
+		case r.stats.Replacements == 0:
+			return fmt.Errorf("chaos %s: node death re-placed no tasks", r.mode)
+		case r.stats.Reissues == 0:
+			return fmt.Errorf("chaos %s: node death re-issued no executors", r.mode)
+		}
+	}
+	return nil
+}
+
+func renderChaos(rows []chaosRow) *metrics.Table {
 	t := metrics.NewTable("mode", "victim", "kill at", "down for", "done", "lost",
 		"failed", "reissues", "replaced", "timeouts", "mean", "p99")
 	for _, r := range rows {
-		t.AddRow(r.Mode.String(), r.Victim,
-			metrics.Seconds(r.KillAt), metrics.Seconds(r.DownFor),
-			fmt.Sprintf("%d/%d", r.Completed, r.Invocations),
-			fmt.Sprintf("%d", r.Lost), fmt.Sprintf("%d", r.FailedInv),
-			fmt.Sprintf("%d", r.Stats.Reissues), fmt.Sprintf("%d", r.Stats.Replacements),
-			fmt.Sprintf("%d", r.Stats.Timeouts),
-			metrics.Millis(r.Mean), metrics.Millis(r.P99))
+		t.AddRow(r.mode.String(), r.victim,
+			metrics.Seconds(faultKillAt), metrics.Seconds(faultDownFor),
+			fmt.Sprintf("%d/%d", r.completed, r.invocations),
+			fmt.Sprintf("%d", r.lost()), fmt.Sprintf("%d", r.failed),
+			fmt.Sprintf("%d", r.stats.Reissues), fmt.Sprintf("%d", r.stats.Replacements),
+			fmt.Sprintf("%d", r.stats.Timeouts),
+			metrics.Millis(r.rec.Mean()), metrics.Millis(r.rec.P99()))
 	}
 	return t
 }

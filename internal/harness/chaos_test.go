@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -14,58 +13,29 @@ import (
 // layer's core guarantee. The dead worker's tasks must actually have been
 // re-placed and re-issued, not just lucky.
 func TestChaosZeroLostInvocations(t *testing.T) {
-	rows, err := Chaos(ChaosSpec{}, nil)
+	rows, err := sweep([]time.Duration{0}, chaosOne)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2 modes", len(rows))
 	}
-	for _, r := range rows {
-		if r.Lost != 0 {
-			t.Errorf("%s: lost %d of %d invocations", r.Mode, r.Lost, r.Invocations)
-		}
-		if r.FailedInv != 0 {
-			t.Errorf("%s: %d invocations exhausted their recovery budget", r.Mode, r.FailedInv)
-		}
-		if r.Stats.Replacements == 0 {
-			t.Errorf("%s: node death re-placed no tasks", r.Mode)
-		}
-		if r.Stats.Reissues == 0 {
-			t.Errorf("%s: node death re-issued no executors", r.Mode)
-		}
-	}
-	if rows[0].Mode != engine.ModeWorkerSP || rows[1].Mode != engine.ModeMasterSP {
-		t.Fatalf("mode order %v, %v", rows[0].Mode, rows[1].Mode)
-	}
-}
-
-// TestChaosDeterministic runs the same chaos spec twice and requires
-// byte-identical snapshots — faults, recovery, and re-placement are all on
-// the simulation clock, so nothing about a chaos run may depend on host
-// state. This is the property the CI chaos smoke job diffs.
-func TestChaosDeterministic(t *testing.T) {
-	spec := ChaosSpec{Invocations: 12}
-	a, err := Chaos(spec, nil)
-	if err != nil {
+	if err := checkChaos(rows); err != nil {
 		t.Fatal(err)
 	}
-	b, err := Chaos(spec, nil)
-	if err != nil {
-		t.Fatal(err)
+	if rows[0].mode != engine.ModeWorkerSP || rows[1].mode != engine.ModeMasterSP {
+		t.Fatalf("mode order %v, %v", rows[0].mode, rows[1].mode)
 	}
-	for i := range a {
-		da, err := a[i].Snapshot.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := b[i].Snapshot.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(da, db) {
-			t.Errorf("%s: same-seed chaos runs produced different snapshots (%d vs %d bytes)",
-				a[i].Mode, len(da), len(db))
+	for i, doctor := range []func(*chaosRow){
+		func(r *chaosRow) { r.completed-- },
+		func(r *chaosRow) { r.failed = 1 },
+		func(r *chaosRow) { r.stats.Replacements = 0 },
+		func(r *chaosRow) { r.stats.Reissues = 0 },
+	} {
+		bad := append([]chaosRow(nil), rows...)
+		doctor(&bad[1])
+		if checkChaos(bad) == nil {
+			t.Errorf("doctored row %d passed the chaos gate", i)
 		}
 	}
 }
@@ -74,26 +44,25 @@ func TestChaosDeterministic(t *testing.T) {
 // observable end to end: the snapshot must carry the node fault window and
 // the per-executor recovery events with their re-placement targets.
 func TestChaosRecoveryEventsInTrace(t *testing.T) {
-	rows, err := Chaos(ChaosSpec{}, []engine.Mode{engine.ModeWorkerSP})
+	r, err := chaosOne(engine.ModeWorkerSP, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
 	nodeFaults, recoveries, replacedTo := 0, 0, 0
-	for _, ev := range r.Snapshot.Events {
+	for _, ev := range r.snapshot.Events {
 		switch e := ev.Ev.(type) {
 		case obs.NodeFaultEvent:
 			nodeFaults++
-			if e.Node != r.Victim {
-				t.Errorf("node-fault targets %q, victim was %q", e.Node, r.Victim)
+			if e.Node != r.victim {
+				t.Errorf("node-fault targets %q, victim was %q", e.Node, r.victim)
 			}
 		case obs.RecoveryEvent:
 			recoveries++
 			if e.NewWorker != e.OldWorker {
 				replacedTo++
 			}
-			if e.NewWorker == r.Victim && e.Reason == "node-down" {
-				t.Errorf("node-down recovery re-issued onto the dead victim %q", r.Victim)
+			if e.NewWorker == r.victim && e.Reason == "node-down" {
+				t.Errorf("node-down recovery re-issued onto the dead victim %q", r.victim)
 			}
 		}
 	}
@@ -112,19 +81,23 @@ func TestChaosRecoveryEventsInTrace(t *testing.T) {
 // the journal-backed deployment must replay committed steps after restart
 // and still lose nothing.
 func TestChaosWithEngineKill(t *testing.T) {
-	rows, err := Chaos(ChaosSpec{EngineKillAt: 3 * time.Second},
-		[]engine.Mode{engine.ModeWorkerSP})
+	r, err := chaosOne(engine.ModeWorkerSP, 3*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rows[0]
-	if r.Lost != 0 {
-		t.Fatalf("lost %d of %d invocations", r.Lost, r.Invocations)
+	if r.lost() != 0 {
+		t.Fatalf("lost %d of %d invocations", r.lost(), r.invocations)
 	}
-	if r.Durable.EngineCrashes != 1 {
-		t.Fatalf("engine crashes = %d, want 1", r.Durable.EngineCrashes)
+	if r.durable.EngineCrashes != 1 {
+		t.Fatalf("engine crashes = %d, want 1", r.durable.EngineCrashes)
 	}
-	if r.Durable.ReplaySkips == 0 {
+	if r.durable.ReplaySkips == 0 {
 		t.Fatal("restart replayed no committed steps")
 	}
+}
+
+// TestChaosDeterministic reruns the registered chaos
+// scenario and requires byte-identical Reports, snapshots included.
+func TestChaosDeterministic(t *testing.T) {
+	requireDeterministic(t, "chaos")
 }

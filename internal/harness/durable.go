@@ -19,144 +19,67 @@ import (
 //     in-flight invocation orphans), restart it after a window, and require
 //     that replay completes everything with zero lost invocations and zero
 //     re-execution of committed steps (journal DupDrops == 0).
-//   - node-kill: with ReplicationFactor >= 2, kill the busiest worker and
+//   - node-kill: with 2-way replication, kill the busiest worker and
 //     require that consumers of its committed outputs recover by *fetching*
 //     a surviving replica (ReplicaReads > 0) instead of re-executing
 //     producers (Reexecs == 0, LostInputs == 0).
-//
-// Both runs are deterministic; same-spec runs yield byte-identical
-// snapshots, which the CI durable smoke job diffs across two invocations.
-
-// DurableSpec configures one durable-execution run. Zero values take
-// defaults sized so the fault window overlaps in-flight work.
-type DurableSpec struct {
-	Bench       string        // benchmark short name (default "IR")
-	Invocations int           // invocations per mode/scenario (default 20)
-	Interval    time.Duration // open-loop arrival spacing (default 400ms)
-	Seed        uint64
-
-	SyncLatency time.Duration // journal fsync latency (journal default when 0)
-	BatchWindow time.Duration // journal group-commit window (default when 0)
-
-	ReplicationFactor int           // node-kill scenario factor (default 2)
-	RepairDelay       time.Duration // re-replication delay (default 50ms)
-
-	EngineDownFor time.Duration // engine crash window (default 5s)
-	NodeDownFor   time.Duration // worker kill window (default 5s)
-}
-
-func (s DurableSpec) withDefaults() DurableSpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Invocations == 0 {
-		s.Invocations = 20
-	}
-	if s.Interval == 0 {
-		s.Interval = 400 * time.Millisecond
-	}
-	if s.ReplicationFactor == 0 {
-		s.ReplicationFactor = 2
-	}
-	if s.RepairDelay == 0 {
-		s.RepairDelay = 50 * time.Millisecond
-	}
-	if s.EngineDownFor == 0 {
-		s.EngineDownFor = 5 * time.Second
-	}
-	if s.NodeDownFor == 0 {
-		s.NodeDownFor = 5 * time.Second
-	}
-	return s
-}
 
 // Durable scenario names.
 const (
-	ScenarioEngineKill = "engine-kill"
-	ScenarioNodeKill   = "node-kill"
+	engineKill = "engine-kill"
+	nodeKill   = "node-kill"
 )
 
-// DurableRow is one mode × scenario durability measurement.
-type DurableRow struct {
-	Mode        engine.Mode
-	Scenario    string // ScenarioEngineKill or ScenarioNodeKill
-	Victim      string // killed worker (node-kill only)
-	KillAt      time.Duration
-	Invocations int
-	Completed   int
-	FailedInv   int
-	Lost        int // must be zero
-	Durable     engine.DurableStats
-	Repl        store.ReplStats
-	Mean        time.Duration
-	P99         time.Duration
-	Snapshot    *obs.Snapshot
+// durableScenarios is the sweep order.
+var durableScenarios = []string{engineKill, nodeKill}
+
+const (
+	durableReplication = 2                     // node-kill replication factor
+	durableRepairDelay = 50 * time.Millisecond // re-replication delay
+)
+
+// durableRow is one mode × scenario durability measurement.
+type durableRow struct {
+	mode     engine.Mode
+	scenario string // engineKill or nodeKill
+	tally
+	durable  engine.DurableStats
+	repl     store.ReplStats
+	snapshot *obs.Snapshot
 }
 
-// Durable runs both durability scenarios under each mode.
-func Durable(spec DurableSpec, modes []engine.Mode) ([]DurableRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []DurableRow
-	for _, mode := range modes {
-		for _, scenario := range []string{ScenarioEngineKill, ScenarioNodeKill} {
-			row, err := durableOne(spec, mode, scenario)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-func durableOne(spec DurableSpec, mode engine.Mode, scenario string) (DurableRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return DurableRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := NewTestbed(ClusterSpec{FaaStore: true, Seed: spec.Seed})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
-
-	jr := journal.New(tb.Env, journal.Config{
-		SyncLatency: spec.SyncLatency,
-		BatchWindow: spec.BatchWindow,
-	})
-	opts := engine.Options{
-		Mode:        mode,
-		Data:        engine.DataStore,
-		Journal:     jr,
-		TaskTimeout: 20 * time.Second,
-		BackoffBase: 200 * time.Millisecond,
-		BackoffMax:  5 * time.Second,
-		MaxReissues: 10,
-	}
-	d, err := tb.Deploy(bench, opts)
+func durableReport() (Report, error) {
+	rows, err := sweep(durableScenarios, durableOne)
 	if err != nil {
-		return DurableRow{}, fmt.Errorf("harness: durable deploy %s/%s: %w", spec.Bench, mode, err)
+		return Report{}, err
+	}
+	rep := Report{Table: renderDurable(rows), Gate: checkDurable(rows)}
+	for _, r := range rows {
+		rep.addSnapshot(fmt.Sprintf("durable-%s-%s", r.mode, r.scenario), r.snapshot)
+	}
+	return rep, nil
+}
+
+func durableOne(mode engine.Mode, scenario string) (durableRow, error) {
+	tb := NewTestbed(ClusterSpec{FaaStore: true})
+	bus, log := recordedBus(tb)
+	d, err := tb.Deploy(workloads.ByName(scenarioBench),
+		recoveryOptions(mode, journal.New(tb.Env, journal.Config{})))
+	if err != nil {
+		return durableRow{}, fmt.Errorf("harness: durable deploy %s/%s: %w", scenarioBench, mode, err)
 	}
 
 	inj := faults.NewInjector(tb.Env, tb.Runtime.Nodes, tb.Fabric, tb.Runtime.Store, bus)
-	killAt := spec.Interval * time.Duration(spec.Invocations) / 2
-	victim := ""
+	var fault faults.Fault
 	switch scenario {
-	case ScenarioEngineKill:
+	case engineKill:
 		inj.AttachEngines(d.Engine)
-		if err := inj.Install(faults.Schedule{{
-			Kind: faults.EngineDown, At: killAt, Duration: spec.EngineDownFor,
-		}}); err != nil {
-			return DurableRow{}, err
-		}
-	case ScenarioNodeKill:
+		fault = faults.Fault{Kind: faults.EngineDown, At: faultKillAt, Duration: faultDownFor}
+	case nodeKill:
 		// k-way replicated FaaStore: sibling shards need quota headroom to
 		// hold the extra copies, which per-deployment reclamation does not
 		// grant on workers without placed tasks.
-		tb.Runtime.Store.SetReplication(spec.ReplicationFactor, spec.RepairDelay)
+		tb.Runtime.Store.SetReplication(durableReplication, durableRepairDelay)
 		tb.Runtime.Store.SetAlive(func(n string) bool {
 			node := tb.Runtime.Nodes[n]
 			return node == nil || !node.Failed()
@@ -169,107 +92,86 @@ func durableOne(spec DurableSpec, mode engine.Mode, scenario string) (DurableRow
 		d.Engine.SetAvoid(func(w string) bool {
 			return inj.NodeDownAt(w, tb.Env.Now())
 		})
-		victim = chaosVictim(d.Placement.Worker, tb.Workers)
-		if err := inj.Install(faults.Schedule{{
-			Kind: faults.NodeDown, Node: victim, At: killAt, Duration: spec.NodeDownFor,
-		}}); err != nil {
-			return DurableRow{}, err
-		}
+		fault = faults.Fault{Kind: faults.NodeDown, Node: chaosVictim(d.Placement.Worker, tb.Workers),
+			At: faultKillAt, Duration: faultDownFor}
 	default:
-		return DurableRow{}, fmt.Errorf("harness: unknown durable scenario %q", scenario)
+		return durableRow{}, fmt.Errorf("harness: unknown durable scenario %q", scenario)
+	}
+	if err := inj.Install(faults.Schedule{fault}); err != nil {
+		return durableRow{}, err
 	}
 
-	rec := &metrics.Recorder{}
-	completed, failed := 0, 0
-	for i := 0; i < spec.Invocations; i++ {
-		delay := time.Duration(i) * spec.Interval
-		tb.Env.Schedule(delay, func() {
-			d.Engine.Invoke(func(r engine.Result) {
-				completed++
-				if r.Failed {
-					failed++
-				}
-				rec.Add(r.Latency())
-			})
-		})
-	}
+	t := tally{invocations: faultInvocations}
+	stagger(tb.Env, 0, faultInterval, faultInvocations, func() { d.Engine.Invoke(t.done) })
 	tb.Env.Run()
 
-	return DurableRow{
-		Mode:        mode,
-		Scenario:    scenario,
-		Victim:      victim,
-		KillAt:      killAt,
-		Invocations: spec.Invocations,
-		Completed:   completed,
-		FailedInv:   failed,
-		Lost:        spec.Invocations - completed,
-		Durable:     d.Engine.DurableStatsSnapshot(),
-		Repl:        tb.Runtime.Store.ReplStats(),
-		Mean:        rec.Mean(),
-		P99:         rec.P99(),
-		Snapshot: obs.BuildSnapshot(log, map[string]string{
+	return durableRow{
+		mode:     mode,
+		scenario: scenario,
+		tally:    t,
+		durable:  d.Engine.DurableStatsSnapshot(),
+		repl:     tb.Runtime.Store.ReplStats(),
+		snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "durable-" + scenario,
-			"bench":    spec.Bench,
+			"bench":    scenarioBench,
 			"mode":     mode.String(),
 		}),
 	}, nil
 }
 
-// CheckDurable enforces the durability gates:
+// checkDurable enforces the durability gates:
 //
 //	every row       — zero lost invocations;
 //	engine-kill     — the crash happened, replay skipped committed steps,
 //	                  and no committed step re-executed (DupDrops == 0);
 //	node-kill       — consumers recovered via replica reads, with zero
 //	                  producer re-executions and zero lost inputs.
-func CheckDurable(rows []DurableRow) error {
+func checkDurable(rows []durableRow) error {
 	for _, r := range rows {
-		where := fmt.Sprintf("durable %s/%s", r.Mode, r.Scenario)
-		if r.Lost > 0 {
-			return fmt.Errorf("%s: lost %d of %d invocations", where, r.Lost, r.Invocations)
+		where := fmt.Sprintf("durable %s/%s", r.mode, r.scenario)
+		if r.lost() > 0 {
+			return fmt.Errorf("%s: lost %d of %d invocations", where, r.lost(), r.invocations)
 		}
-		switch r.Scenario {
-		case ScenarioEngineKill:
-			if r.Durable.EngineCrashes == 0 {
+		switch r.scenario {
+		case engineKill:
+			if r.durable.EngineCrashes == 0 {
 				return fmt.Errorf("%s: engine never crashed", where)
 			}
-			if r.Durable.ReplaySkips == 0 {
+			if r.durable.ReplaySkips == 0 {
 				return fmt.Errorf("%s: replay skipped no committed steps", where)
 			}
-			if r.Durable.Journal.DupDrops != 0 {
-				return fmt.Errorf("%s: %d committed steps re-executed", where, r.Durable.Journal.DupDrops)
+			if r.durable.Journal.DupDrops != 0 {
+				return fmt.Errorf("%s: %d committed steps re-executed", where, r.durable.Journal.DupDrops)
 			}
-		case ScenarioNodeKill:
-			if r.Repl.ReplicaReads == 0 {
+		case nodeKill:
+			if r.repl.ReplicaReads == 0 {
 				return fmt.Errorf("%s: no replica reads after the node kill", where)
 			}
-			if r.Durable.Reexecs != 0 || r.Durable.LostInputs != 0 {
+			if r.durable.Reexecs != 0 || r.durable.LostInputs != 0 {
 				return fmt.Errorf("%s: %d producer re-executions / %d lost inputs; replicas should have absorbed the kill",
-					where, r.Durable.Reexecs, r.Durable.LostInputs)
+					where, r.durable.Reexecs, r.durable.LostInputs)
 			}
 		}
 	}
 	return nil
 }
 
-// RenderDurable builds the durability table.
-func RenderDurable(rows []DurableRow) *metrics.Table {
+func renderDurable(rows []durableRow) *metrics.Table {
 	t := metrics.NewTable("mode", "scenario", "done", "lost", "failed",
 		"crashes", "replayed", "redisp", "dups", "repl reads", "re-repl", "reexecs",
 		"mean", "p99")
 	for _, r := range rows {
-		t.AddRow(r.Mode.String(), r.Scenario,
-			fmt.Sprintf("%d/%d", r.Completed, r.Invocations),
-			fmt.Sprintf("%d", r.Lost), fmt.Sprintf("%d", r.FailedInv),
-			fmt.Sprintf("%d", r.Durable.EngineCrashes),
-			fmt.Sprintf("%d", r.Durable.ReplaySkips),
-			fmt.Sprintf("%d", r.Durable.Redispatched),
-			fmt.Sprintf("%d", r.Durable.Journal.DupDrops),
-			fmt.Sprintf("%d", r.Repl.ReplicaReads),
-			fmt.Sprintf("%d", r.Repl.ReReplications),
-			fmt.Sprintf("%d", r.Durable.Reexecs),
-			metrics.Millis(r.Mean), metrics.Millis(r.P99))
+		t.AddRow(r.mode.String(), r.scenario,
+			fmt.Sprintf("%d/%d", r.completed, r.invocations),
+			fmt.Sprintf("%d", r.lost()), fmt.Sprintf("%d", r.failed),
+			fmt.Sprintf("%d", r.durable.EngineCrashes),
+			fmt.Sprintf("%d", r.durable.ReplaySkips),
+			fmt.Sprintf("%d", r.durable.Redispatched),
+			fmt.Sprintf("%d", r.durable.Journal.DupDrops),
+			fmt.Sprintf("%d", r.repl.ReplicaReads),
+			fmt.Sprintf("%d", r.repl.ReReplications),
+			fmt.Sprintf("%d", r.durable.Reexecs),
+			metrics.Millis(r.rec.Mean()), metrics.Millis(r.rec.P99()))
 	}
 	return t
 }

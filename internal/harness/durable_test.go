@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/engine"
@@ -10,55 +9,25 @@ import (
 // TestDurableGatesPass runs both durability scenarios in both modes and
 // enforces the acceptance gates: zero lost invocations everywhere; after
 // an engine kill, replay skips committed steps and re-executes none; after
-// a node kill with ReplicationFactor 2, consumers read surviving replicas
+// a node kill with 2-way replication, consumers read surviving replicas
 // instead of re-executing producers.
 func TestDurableGatesPass(t *testing.T) {
-	rows, err := Durable(DurableSpec{}, nil)
+	rows, err := sweep(durableScenarios, durableOne)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows, want 2 modes × 2 scenarios", len(rows))
 	}
-	if err := CheckDurable(rows); err != nil {
+	if err := checkDurable(rows); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if r.Scenario == ScenarioEngineKill && r.Durable.Redispatched == 0 {
-			t.Errorf("%s/%s: restart re-dispatched nothing", r.Mode, r.Scenario)
+		if r.scenario == engineKill && r.durable.Redispatched == 0 {
+			t.Errorf("%s/%s: restart re-dispatched nothing", r.mode, r.scenario)
 		}
-		if r.Scenario == ScenarioNodeKill && r.Repl.ReReplications == 0 {
-			t.Errorf("%s/%s: no background re-replication after the kill", r.Mode, r.Scenario)
-		}
-	}
-}
-
-// TestDurableDeterministic runs the same durable spec twice and requires
-// byte-identical snapshots — crash, replay, replica reads, and repair are
-// all on the simulation clock. This is the property the CI durable smoke
-// job diffs across two process invocations.
-func TestDurableDeterministic(t *testing.T) {
-	spec := DurableSpec{Invocations: 10}
-	a, err := Durable(spec, []engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Durable(spec, []engine.Mode{engine.ModeWorkerSP})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		da, err := a[i].Snapshot.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		db, err := b[i].Snapshot.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(da, db) {
-			t.Errorf("%s/%s: same-seed durable runs produced different snapshots (%d vs %d bytes)",
-				a[i].Scenario, a[i].Mode, len(da), len(db))
+		if r.scenario == nodeKill && r.repl.ReReplications == 0 {
+			t.Errorf("%s/%s: no background re-replication after the kill", r.mode, r.scenario)
 		}
 	}
 }
@@ -66,15 +35,21 @@ func TestDurableDeterministic(t *testing.T) {
 // TestDurableRenderAndCheckErrors exercises the table renderer and the
 // gate messages on a hand-built failing row.
 func TestDurableRenderAndCheckErrors(t *testing.T) {
-	bad := []DurableRow{{Mode: engine.ModeWorkerSP, Scenario: ScenarioEngineKill, Invocations: 5, Lost: 1}}
-	if err := CheckDurable(bad); err == nil {
-		t.Fatal("CheckDurable accepted a lost invocation")
+	bad := []durableRow{{mode: engine.ModeWorkerSP, scenario: engineKill, tally: tally{invocations: 5, completed: 4}}}
+	if err := checkDurable(bad); err == nil {
+		t.Fatal("checkDurable accepted a lost invocation")
 	}
-	bad[0].Lost = 0
-	if err := CheckDurable(bad); err == nil {
-		t.Fatal("CheckDurable accepted an engine-kill row with no crash")
+	bad[0].completed = 5
+	if err := checkDurable(bad); err == nil {
+		t.Fatal("checkDurable accepted an engine-kill row with no crash")
 	}
-	if tbl := RenderDurable(bad); tbl == nil {
-		t.Fatal("RenderDurable returned nil")
+	if tbl := renderDurable(bad); tbl == nil {
+		t.Fatal("renderDurable returned nil")
 	}
+}
+
+// TestDurableDeterministic reruns the registered durable
+// scenario and requires byte-identical Reports, snapshots included.
+func TestDurableDeterministic(t *testing.T) {
+	requireDeterministic(t, "durable")
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -22,90 +21,67 @@ import (
 //
 // The cluster is configured cold-start-heavy (keep-alive shorter than the
 // workflow makespan, cold start longer than any stage) so pre-warm has
-// latency to hide; direct passing and memoization gain regardless. Runs
-// are deterministic; same-spec runs yield byte-identical snapshots, which
-// the CI fastpath smoke job diffs across two invocations.
+// latency to hide; direct passing and memoization gain regardless.
 
-// FastPathSpec configures one fast-path scenario sweep.
-type FastPathSpec struct {
-	Width       int // Genome task-node count (default 10)
-	Invocations int // closed-loop invocations per variant (default 10)
-	Seed        uint64
-}
-
-func (s FastPathSpec) withDefaults() FastPathSpec {
-	if s.Width == 0 {
-		s.Width = 10
-	}
-	if s.Invocations == 0 {
-		s.Invocations = 10
-	}
-	return s
-}
-
-// Fast-path variant names, in sweep order.
 const (
-	VariantOff     = "off"
-	VariantDirect  = "direct"
-	VariantPrewarm = "prewarm"
-	VariantFull    = "full"
+	fastPathWidth       = 10 // Genome task-node count
+	fastPathInvocations = 10 // closed-loop invocations per variant
 )
+
+// Fast-path variant names.
+const (
+	variantOff     = "off"
+	variantDirect  = "direct"
+	variantPrewarm = "prewarm"
+	variantFull    = "full"
+)
+
+// fastPathVariants is the sweep order.
+var fastPathVariants = []string{variantOff, variantDirect, variantPrewarm, variantFull}
 
 func variantOptions(variant string) engine.FastPathOptions {
 	switch variant {
-	case VariantDirect:
+	case variantDirect:
 		return engine.FastPathOptions{DirectPassing: true}
-	case VariantPrewarm:
+	case variantPrewarm:
 		return engine.FastPathOptions{Prewarm: true}
-	case VariantFull:
+	case variantFull:
 		return engine.FastPathOptions{DirectPassing: true, Prewarm: true, Memoize: true}
 	default:
 		return engine.FastPathOptions{}
 	}
 }
 
-// FastPathRow is one mode × variant measurement.
-type FastPathRow struct {
-	Mode        engine.Mode
-	Variant     string
-	Invocations int
-	Mean        time.Duration
-	P99         time.Duration
-	Stats       engine.FastPathStats
-	Direct      store.DirectStats
-	Snapshot    *obs.Snapshot
+// fastPathRow is one mode × variant measurement.
+type fastPathRow struct {
+	mode        engine.Mode
+	variant     string
+	invocations int
+	mean, p99   time.Duration
+	stats       engine.FastPathStats
+	snapshot    *obs.Snapshot
 }
 
-// FastPath runs the fast-path sweep under each mode.
-func FastPath(spec FastPathSpec, modes []engine.Mode) ([]FastPathRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
+func fastPathReport() (Report, error) {
+	rows, err := sweep(fastPathVariants, fastPathOne)
+	if err != nil {
+		return Report{}, err
 	}
-	var rows []FastPathRow
-	for _, mode := range modes {
-		for _, variant := range []string{VariantOff, VariantDirect, VariantPrewarm, VariantFull} {
-			row, err := fastPathOne(spec, mode, variant)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
+	rep := Report{Table: renderFastPath(rows), Gate: checkFastPath(rows)}
+	for _, r := range rows {
+		rep.addSnapshot(fmt.Sprintf("fastpath-%s-%s", r.mode, r.variant), r.snapshot)
 	}
-	return rows, nil
+	return rep, nil
 }
 
-func fastPathOne(spec FastPathSpec, mode engine.Mode, variant string) (FastPathRow, error) {
+func fastPathOne(mode engine.Mode, variant string) (fastPathRow, error) {
 	cfg := cluster.DefaultConfig()
 	cfg.KeepAlive = 100 * time.Millisecond
 	cfg.ColdStart = 2 * time.Second
-	tb := NewTestbed(ClusterSpec{FaaStore: true, Cluster: cfg, Seed: spec.Seed})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
+	tb := NewTestbed(ClusterSpec{FaaStore: true, Cluster: cfg})
+	_, log := recordedBus(tb)
 
-	bench := workloads.Genome(spec.Width)
+	bench := workloads.Genome(fastPathWidth)
 	opts := engine.Options{
 		Mode:     mode,
 		Data:     engine.DataStore,
@@ -113,19 +89,18 @@ func fastPathOne(spec FastPathSpec, mode engine.Mode, variant string) (FastPathR
 	}
 	d, err := tb.Deploy(bench, opts)
 	if err != nil {
-		return FastPathRow{}, fmt.Errorf("harness: fastpath deploy %s/%s: %w", mode, variant, err)
+		return fastPathRow{}, fmt.Errorf("harness: fastpath deploy %s/%s: %w", mode, variant, err)
 	}
-	rec := ClosedLoop(tb.Env, d.Engine, 1, spec.Invocations)
+	rec := ClosedLoop(tb.Env, d.Engine, 1, fastPathInvocations)
 
-	return FastPathRow{
-		Mode:        mode,
-		Variant:     variant,
-		Invocations: rec.Count(),
-		Mean:        rec.Mean(),
-		P99:         rec.P99(),
-		Stats:       d.Engine.FastPathStatsSnapshot(),
-		Direct:      tb.Runtime.Store.DirectStats(),
-		Snapshot: obs.BuildSnapshot(log, map[string]string{
+	return fastPathRow{
+		mode:        mode,
+		variant:     variant,
+		invocations: rec.Count(),
+		mean:        rec.Mean(),
+		p99:         rec.P99(),
+		stats:       d.Engine.FastPathStatsSnapshot(),
+		snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "fastpath-" + variant,
 			"bench":    bench.Name,
 			"mode":     mode.String(),
@@ -133,67 +108,66 @@ func fastPathOne(spec FastPathSpec, mode engine.Mode, variant string) (FastPathR
 	}, nil
 }
 
-// CheckFastPath enforces the fast-path gates:
+// checkFastPath enforces the fast-path gates:
 //
 //	direct  — pushes happened and the mean beat the baseline;
 //	prewarm — slots were issued and claimed, and the mean beat the
 //	          baseline (the cold-start-heavy config guarantees overlap);
 //	full    — repeated invocations hit the memo cache and the mean beat
-//	          every other variant.
-func CheckFastPath(rows []FastPathRow) error {
-	base := map[engine.Mode]FastPathRow{}
+//	          every other variant of its mode.
+func checkFastPath(rows []fastPathRow) error {
+	byMode := map[engine.Mode]map[string]fastPathRow{}
 	for _, r := range rows {
-		if r.Variant == VariantOff {
-			base[r.Mode] = r
+		if byMode[r.mode] == nil {
+			byMode[r.mode] = map[string]fastPathRow{}
 		}
+		byMode[r.mode][r.variant] = r
 	}
 	for _, r := range rows {
-		where := fmt.Sprintf("fastpath %s/%s", r.Mode, r.Variant)
-		off, ok := base[r.Mode]
-		if !ok {
+		where := fmt.Sprintf("fastpath %s/%s", r.mode, r.variant)
+		if _, ok := byMode[r.mode][variantOff]; !ok {
 			return fmt.Errorf("%s: no baseline row for mode", where)
 		}
-		switch r.Variant {
-		case VariantDirect:
-			if r.Stats.DirectPushes == 0 {
+		rivals := []string{variantOff}
+		switch r.variant {
+		case variantDirect:
+			if r.stats.DirectPushes == 0 {
 				return fmt.Errorf("%s: no direct pushes", where)
 			}
-			if r.Mean >= off.Mean {
-				return fmt.Errorf("%s: mean %v did not beat baseline %v", where, r.Mean, off.Mean)
-			}
-		case VariantPrewarm:
-			if r.Stats.PrewarmIssued == 0 || r.Stats.PrewarmHits == 0 {
+		case variantPrewarm:
+			if r.stats.PrewarmIssued == 0 || r.stats.PrewarmHits == 0 {
 				return fmt.Errorf("%s: prewarm issued=%d hits=%d", where,
-					r.Stats.PrewarmIssued, r.Stats.PrewarmHits)
+					r.stats.PrewarmIssued, r.stats.PrewarmHits)
 			}
-			if r.Mean >= off.Mean {
-				return fmt.Errorf("%s: mean %v did not beat baseline %v", where, r.Mean, off.Mean)
-			}
-		case VariantFull:
-			if r.Stats.MemoHits == 0 {
+		case variantFull:
+			if r.stats.MemoHits == 0 {
 				return fmt.Errorf("%s: no memo hits across repeated invocations", where)
 			}
-			if r.Mean >= off.Mean {
-				return fmt.Errorf("%s: mean %v did not beat baseline %v", where, r.Mean, off.Mean)
+			rivals = []string{variantOff, variantDirect, variantPrewarm}
+		default:
+			continue
+		}
+		for _, v := range rivals {
+			if rival, ok := byMode[r.mode][v]; ok && r.mean >= rival.mean {
+				return fmt.Errorf("%s: mean %v did not beat %s %v", where, r.mean, v, rival.mean)
 			}
 		}
 	}
 	return nil
 }
 
-// RenderFastPath builds the fast-path comparison table.
-func RenderFastPath(rows []FastPathRow) *metrics.Table {
+func renderFastPath(rows []fastPathRow) *metrics.Table {
 	t := metrics.NewTable("mode", "variant", "n",
 		"pushes", "fallbacks", "prewarm", "claims", "memo hits",
 		"mean", "p99")
 	for _, r := range rows {
-		t.AddRow(r.Mode.String(), r.Variant, fmt.Sprintf("%d", r.Invocations),
-			fmt.Sprintf("%d", r.Stats.DirectPushes),
-			fmt.Sprintf("%d", r.Stats.DirectFallbacks),
-			fmt.Sprintf("%d", r.Stats.PrewarmIssued),
-			fmt.Sprintf("%d", r.Stats.PrewarmHits),
-			fmt.Sprintf("%d", r.Stats.MemoHits),
-			metrics.Millis(r.Mean), metrics.Millis(r.P99))
+		t.AddRow(r.mode.String(), r.variant, fmt.Sprintf("%d", r.invocations),
+			fmt.Sprintf("%d", r.stats.DirectPushes),
+			fmt.Sprintf("%d", r.stats.DirectFallbacks),
+			fmt.Sprintf("%d", r.stats.PrewarmIssued),
+			fmt.Sprintf("%d", r.stats.PrewarmHits),
+			fmt.Sprintf("%d", r.stats.MemoHits),
+			metrics.Millis(r.mean), metrics.Millis(r.p99))
 	}
 	return t
 }

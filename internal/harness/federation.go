@@ -29,131 +29,68 @@ import (
 //     the live member's shards and the stale owner's late work must be
 //     fenced (FencedTotal > 0), again with every invocation completing
 //     exactly once.
-//
-// Both runs are deterministic; same-spec runs yield byte-identical
-// snapshots, diffed by the CI federation smoke job.
 
-// FederationSpec configures one federated chaos run.
-type FederationSpec struct {
-	Bench       string        // benchmark short name (default "IR")
-	Members     int           // federation size (default 3)
-	Invocations int           // total submissions (default 24)
-	Interval    time.Duration // open-loop arrival spacing (default 400ms)
-	Seed        uint64
-
-	Shards       int           // ownership shards (default 16)
-	LeaseTTL     time.Duration // lease TTL (default 1s)
-	RenewEvery   time.Duration // renewal period (default 250ms)
-	CheckEvery   time.Duration // detector sweep period (default 250ms)
-	HandoffDelay time.Duration // claim -> replay grace (default 100ms)
-
-	KillStart time.Duration // first kill instant (default 2s)
-	KillEvery time.Duration // kill spacing (default 4s)
-	DownFor   time.Duration // restart delay per kill (default 2s)
-	StallFor  time.Duration // stall scenario window (default 3*LeaseTTL)
-}
-
-func (s FederationSpec) withDefaults() FederationSpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Members == 0 {
-		s.Members = 3
-	}
-	if s.Invocations == 0 {
-		s.Invocations = 24
-	}
-	if s.Interval == 0 {
-		s.Interval = 400 * time.Millisecond
-	}
-	if s.Shards == 0 {
-		s.Shards = 16
-	}
-	if s.LeaseTTL == 0 {
-		s.LeaseTTL = time.Second
-	}
-	if s.RenewEvery == 0 {
-		s.RenewEvery = 250 * time.Millisecond
-	}
-	if s.CheckEvery == 0 {
-		s.CheckEvery = 250 * time.Millisecond
-	}
-	if s.HandoffDelay == 0 {
-		s.HandoffDelay = 100 * time.Millisecond
-	}
-	if s.KillStart == 0 {
-		s.KillStart = 2 * time.Second
-	}
-	if s.KillEvery == 0 {
-		s.KillEvery = 4 * time.Second
-	}
-	if s.DownFor == 0 {
-		s.DownFor = 2 * time.Second
-	}
-	if s.StallFor == 0 {
-		s.StallFor = 3 * s.LeaseTTL
-	}
-	return s
-}
+// Federation sizes; the open loop uses the fault scenarios' arrival
+// spacing.
+const (
+	fedSize         = 3  // federation members
+	fedInvocations  = 24 // total submissions
+	fedShards       = 16 // ownership shards
+	fedLeaseTTL     = time.Second
+	fedRenewEvery   = 250 * time.Millisecond // lease renewal period
+	fedCheckEvery   = 250 * time.Millisecond // detector sweep period
+	fedHandoffDelay = 100 * time.Millisecond // claim -> replay grace
+	fedKillStart    = 2 * time.Second        // first kill or stall instant
+	fedKillEvery    = 4 * time.Second        // kill spacing
+	fedDownFor      = 2 * time.Second        // restart delay per kill
+	fedStallFor     = 3 * fedLeaseTTL        // stall scenario window
+	// fedHandoffBudget is the detection + replay allowance the worst
+	// failover dead time is gated against: one sweep period (plus its max
+	// jitter) to detect the expiry, the handoff grace, and scheduling
+	// slack.
+	fedHandoffBudget = fedCheckEvery + fedCheckEvery/4 + fedHandoffDelay + 500*time.Millisecond
+)
 
 // Federation scenario names.
 const (
-	ScenarioRollingKill = "rolling-kill"
-	ScenarioStall       = "stall"
+	rollingKill = "rolling-kill"
+	stall       = "stall"
 )
 
-// FederationRow is one mode × scenario federated-chaos measurement.
-type FederationRow struct {
-	Mode        engine.Mode
-	Scenario    string
-	Members     int
-	Invocations int
-	Completed   int
-	FailedInv   int
-	Lost        int // must be zero
-	Retried     int // admissions that hit a handoff window and re-submitted
-	Fed         federation.Stats
-	// Handoffs counts HandoffEvents; MaxHandoff is the worst failover dead
+// fedScenarios is the sweep order.
+var fedScenarios = []string{rollingKill, stall}
+
+// federationRow is one mode × scenario federated-chaos measurement.
+type federationRow struct {
+	mode     engine.Mode
+	scenario string
+	tally
+	retried int // admissions that hit a handoff window and re-submitted
+	fed     federation.Stats
+	// handoffs counts HandoffEvents; maxHandoff is the worst failover dead
 	// time (replay instant minus the victim's lease expiry) across them.
-	Handoffs   int
-	MaxHandoff time.Duration
-	// HandoffBudget is the detection + replay allowance MaxHandoff is
-	// gated against: one sweep period (plus its max jitter) to detect the
-	// expiry, the handoff grace, and scheduling slack.
-	HandoffBudget time.Duration
-	Mean          time.Duration
-	P99           time.Duration
-	Snapshot      *obs.Snapshot
+	handoffs   int
+	maxHandoff time.Duration
+	snapshot   *obs.Snapshot
 }
 
-// Federation runs both federated chaos scenarios under each mode.
-func Federation(spec FederationSpec, modes []engine.Mode) ([]FederationRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
+func federationReport() (Report, error) {
+	rows, err := sweep(fedScenarios, func(mode engine.Mode, scenario string) (federationRow, error) {
+		return federationOne(mode, scenario, fedSize, 0)
+	})
+	if err != nil {
+		return Report{}, err
 	}
-	var rows []FederationRow
-	for _, mode := range modes {
-		for _, scenario := range []string{ScenarioRollingKill, ScenarioStall} {
-			row, err := federationOne(spec, mode, scenario)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
+	rep := Report{Table: renderFederation(rows), Gate: checkFederation(rows)}
+	for _, r := range rows {
+		rep.addSnapshot(fmt.Sprintf("federation-%s-%s", r.mode, r.scenario), r.snapshot)
 	}
-	return rows, nil
+	return rep, nil
 }
 
-func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (FederationRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return FederationRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := NewTestbed(ClusterSpec{FaaStore: true, Seed: spec.Seed})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
+func federationOne(mode engine.Mode, scenario string, members int, seed uint64) (federationRow, error) {
+	tb := NewTestbed(ClusterSpec{FaaStore: true, Seed: seed})
+	bus, log := recordedBus(tb)
 	handoffs := 0
 	var maxHandoff sim.Time
 	bus.Subscribe(func(ev obs.Event) {
@@ -164,115 +101,89 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 			}
 		}
 	})
-	tb.AttachBus(bus)
 
-	deps, err := tb.DeployReplicas(bench, spec.Members, func(i int) engine.Options {
-		return engine.Options{
-			Mode:        mode,
-			Data:        engine.DataStore,
-			Journal:     journal.New(tb.Env, journal.Config{}),
-			TaskTimeout: 20 * time.Second,
-			BackoffBase: 200 * time.Millisecond,
-			BackoffMax:  5 * time.Second,
-			MaxReissues: 10,
-		}
+	deps, err := tb.DeployReplicas(workloads.ByName(scenarioBench), members, func(i int) engine.Options {
+		return recoveryOptions(mode, journal.New(tb.Env, journal.Config{}))
 	})
 	if err != nil {
-		return FederationRow{}, fmt.Errorf("harness: federated deploy %s/%s: %w", spec.Bench, mode, err)
+		return federationRow{}, fmt.Errorf("harness: federated deploy %s/%s: %w", scenarioBench, mode, err)
 	}
-	members := make([]federation.Member, len(deps))
+	fedMembers := make([]federation.Member, len(deps))
 	for i, d := range deps {
-		members[i] = federation.Member{
+		fedMembers[i] = federation.Member{
 			ID:      fmt.Sprintf("e%d", i),
 			Engine:  d.Engine,
 			Journal: d.Engine.Journal(),
 		}
 	}
 	fed, err := federation.New(tb.Env, federation.Config{
-		Shards:       spec.Shards,
-		LeaseTTL:     spec.LeaseTTL,
-		RenewEvery:   spec.RenewEvery,
-		CheckEvery:   spec.CheckEvery,
-		HandoffDelay: spec.HandoffDelay,
-		Seed:         spec.Seed + 1, // 0 would fall back to the default seed
-	}, bus, members...)
+		Shards:       fedShards,
+		LeaseTTL:     fedLeaseTTL,
+		RenewEvery:   fedRenewEvery,
+		CheckEvery:   fedCheckEvery,
+		HandoffDelay: fedHandoffDelay,
+		Seed:         seed + 1, // 0 would fall back to the default seed
+	}, bus, fedMembers...)
 	if err != nil {
-		return FederationRow{}, err
+		return federationRow{}, err
 	}
 
 	inj := faults.NewInjector(tb.Env, tb.Runtime.Nodes, tb.Fabric, tb.Runtime.Store, bus)
 	inj.AttachFederation(fed)
 	var sched faults.Schedule
 	switch scenario {
-	case ScenarioRollingKill:
-		sched = faults.RollingEngineKills(fed.MemberIDs(), spec.KillStart, spec.KillEvery, spec.DownFor)
-	case ScenarioStall:
+	case rollingKill:
+		sched = faults.RollingEngineKills(fed.MemberIDs(), fedKillStart, fedKillEvery, fedDownFor)
+	case stall:
 		sched = faults.Schedule{{
 			Kind: faults.EngineStall, Engine: fed.MemberIDs()[0],
-			At: spec.KillStart, Duration: spec.StallFor,
+			At: fedKillStart, Duration: fedStallFor,
 		}}
 	default:
-		return FederationRow{}, fmt.Errorf("harness: unknown federation scenario %q", scenario)
+		return federationRow{}, fmt.Errorf("harness: unknown federation scenario %q", scenario)
 	}
 	if err := inj.Install(sched); err != nil {
-		return FederationRow{}, err
+		return federationRow{}, err
 	}
 
-	rec := &metrics.Recorder{}
-	completed, failed, retried := 0, 0, 0
-	for i := 0; i < spec.Invocations; i++ {
-		delay := time.Duration(i) * spec.Interval
-		var submit func()
-		submit = func() {
-			_, err := fed.Invoke(engine.InvokeOptions{}, func(r engine.Result) {
-				completed++
-				if r.Failed {
-					failed++
-				}
-				rec.Add(r.Latency())
-			})
-			if he, ok := err.(*federation.HandoffError); ok {
-				// The shard is mid-handoff: honor the Retry-After, exactly
-				// as a client behind the gateway's 503 would.
-				retried++
-				tb.Env.Schedule(he.RetryAfter, submit)
-			}
+	t := tally{invocations: fedInvocations}
+	retried := 0
+	var submit func()
+	submit = func() {
+		_, err := fed.Invoke(engine.InvokeOptions{}, t.done)
+		if he, ok := err.(*federation.HandoffError); ok {
+			// The shard is mid-handoff: honor the Retry-After, exactly
+			// as a client behind the gateway's 503 would.
+			retried++
+			tb.Env.Schedule(he.RetryAfter, submit)
 		}
-		tb.Env.Schedule(delay, submit)
 	}
+	stagger(tb.Env, 0, faultInterval, fedInvocations, submit)
 	// The lease/detector timers tick forever; run to a horizon that covers
 	// every fault window plus recovery, stop the control plane, and drain.
-	horizon := spec.KillStart + time.Duration(spec.Members)*spec.KillEvery +
-		time.Duration(spec.Invocations)*spec.Interval + 2*time.Minute
+	horizon := fedKillStart + time.Duration(members)*fedKillEvery +
+		fedInvocations*faultInterval + 2*time.Minute
 	tb.Env.RunUntil(sim.Time(horizon))
 	fed.Stop()
 	tb.Env.Run()
 
-	return FederationRow{
-		Mode:        mode,
-		Scenario:    scenario,
-		Members:     spec.Members,
-		Invocations: spec.Invocations,
-		Completed:   completed,
-		FailedInv:   failed,
-		Lost:        spec.Invocations - completed,
-		Retried:     retried,
-		Fed:         fed.Stats(),
-		Handoffs:    handoffs,
-		MaxHandoff:  maxHandoff.Duration(),
-		HandoffBudget: spec.CheckEvery + spec.CheckEvery/4 +
-			spec.HandoffDelay + 500*time.Millisecond,
-		Mean: rec.Mean(),
-		P99:  rec.P99(),
-		Snapshot: obs.BuildSnapshot(log, map[string]string{
+	return federationRow{
+		mode:       mode,
+		scenario:   scenario,
+		tally:      t,
+		retried:    retried,
+		fed:        fed.Stats(),
+		handoffs:   handoffs,
+		maxHandoff: maxHandoff.Duration(),
+		snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "federation-" + scenario,
-			"bench":    spec.Bench,
+			"bench":    scenarioBench,
 			"mode":     mode.String(),
 		}),
 	}, nil
 }
 
-// CheckFederation enforces the federated-chaos gates:
+// checkFederation enforces the federated-chaos gates:
 //
 //	every row    — zero lost invocations, zero double-finishes
 //	               (DupDones == 0), and zero committed steps re-executed
@@ -283,45 +194,45 @@ func federationOne(spec FederationSpec, mode engine.Mode, scenario string) (Fede
 //	               detection + handoff budget;
 //	stall        — the false positive triggered a claim and the stale
 //	               owner's late work was fenced at some layer.
-func CheckFederation(rows []FederationRow) error {
+func checkFederation(rows []federationRow) error {
 	for _, r := range rows {
-		where := fmt.Sprintf("federation %s/%s", r.Mode, r.Scenario)
-		if r.Lost > 0 {
-			return fmt.Errorf("%s: lost %d of %d invocations", where, r.Lost, r.Invocations)
+		where := fmt.Sprintf("federation %s/%s", r.mode, r.scenario)
+		if r.lost() > 0 {
+			return fmt.Errorf("%s: lost %d of %d invocations", where, r.lost(), r.invocations)
 		}
-		if r.Fed.DupDones != 0 {
-			return fmt.Errorf("%s: %d invocations finished twice", where, r.Fed.DupDones)
+		if r.fed.DupDones != 0 {
+			return fmt.Errorf("%s: %d invocations finished twice", where, r.fed.DupDones)
 		}
-		for _, m := range r.Fed.Members {
+		for _, m := range r.fed.Members {
 			if m.DupDrops != 0 {
 				return fmt.Errorf("%s: member %s re-executed %d committed steps", where, m.ID, m.DupDrops)
 			}
 		}
-		switch r.Scenario {
-		case ScenarioRollingKill:
-			if r.Fed.Claims == 0 || r.Fed.Adoptions == 0 {
+		switch r.scenario {
+		case rollingKill:
+			if r.fed.Claims == 0 || r.fed.Adoptions == 0 {
 				return fmt.Errorf("%s: no failover happened (claims=%d adoptions=%d)",
-					where, r.Fed.Claims, r.Fed.Adoptions)
+					where, r.fed.Claims, r.fed.Adoptions)
 			}
 			var skips int64
-			for _, m := range r.Fed.Members {
+			for _, m := range r.fed.Members {
 				skips += m.ReplaySkips
 			}
 			if skips == 0 {
 				return fmt.Errorf("%s: handoff replay skipped no committed steps", where)
 			}
-			if r.Handoffs == 0 {
+			if r.handoffs == 0 {
 				return fmt.Errorf("%s: no HandoffEvents recorded", where)
 			}
-			if r.MaxHandoff > r.HandoffBudget {
+			if r.maxHandoff > fedHandoffBudget {
 				return fmt.Errorf("%s: worst failover dead time %v exceeds budget %v",
-					where, r.MaxHandoff, r.HandoffBudget)
+					where, r.maxHandoff, fedHandoffBudget)
 			}
-		case ScenarioStall:
-			if r.Fed.Claims == 0 {
+		case stall:
+			if r.fed.Claims == 0 {
 				return fmt.Errorf("%s: the false positive never triggered a claim", where)
 			}
-			if r.Fed.FencedTotal == 0 {
+			if r.fed.FencedTotal == 0 {
 				return fmt.Errorf("%s: stale owner's late work was never fenced", where)
 			}
 		}
@@ -329,21 +240,20 @@ func CheckFederation(rows []FederationRow) error {
 	return nil
 }
 
-// RenderFederation builds the federated-chaos table.
-func RenderFederation(rows []FederationRow) *metrics.Table {
+func renderFederation(rows []federationRow) *metrics.Table {
 	t := metrics.NewTable("mode", "scenario", "done", "lost", "failed", "retried",
 		"claims", "adopted", "fenced", "dup-dones", "handoff-max", "mean", "p99")
 	for _, r := range rows {
-		t.AddRow(r.Mode.String(), r.Scenario,
-			fmt.Sprintf("%d/%d", r.Completed, r.Invocations),
-			fmt.Sprintf("%d", r.Lost), fmt.Sprintf("%d", r.FailedInv),
-			fmt.Sprintf("%d", r.Retried),
-			fmt.Sprintf("%d", r.Fed.Claims),
-			fmt.Sprintf("%d", r.Fed.Adoptions),
-			fmt.Sprintf("%d", r.Fed.FencedTotal),
-			fmt.Sprintf("%d", r.Fed.DupDones),
-			metrics.Millis(r.MaxHandoff),
-			metrics.Millis(r.Mean), metrics.Millis(r.P99))
+		t.AddRow(r.mode.String(), r.scenario,
+			fmt.Sprintf("%d/%d", r.completed, r.invocations),
+			fmt.Sprintf("%d", r.lost()), fmt.Sprintf("%d", r.failed),
+			fmt.Sprintf("%d", r.retried),
+			fmt.Sprintf("%d", r.fed.Claims),
+			fmt.Sprintf("%d", r.fed.Adoptions),
+			fmt.Sprintf("%d", r.fed.FencedTotal),
+			fmt.Sprintf("%d", r.fed.DupDones),
+			metrics.Millis(r.maxHandoff),
+			metrics.Millis(r.rec.Mean()), metrics.Millis(r.rec.P99()))
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
@@ -19,115 +19,119 @@ import (
 // front-door admission (token bucket + concurrency cap), bounded Acquire
 // queues, per-invocation deadlines, and the store circuit breaker armed —
 // goodput must flat-top at saturation instead of collapsing: capacity is
-// spent only on work that finishes. The -no-admission counterfactual
-// removes the front door and lets every arrival in; partially-executed
-// invocations then burn containers before being shed or deadlined, and
-// goodput at 2x offered load falls off the peak. Both variants are fully
-// deterministic: same spec, byte-identical snapshots.
+// spent only on work that finishes. The counterfactual sweep removes the
+// front door and lets every arrival in; partially-executed invocations
+// then burn containers before being shed or deadlined, and goodput at 2x
+// offered load must fall off the peak, or the gate could not tell control
+// from none.
 
-// OverloadSpec configures one overload sweep. Zero values take defaults
-// sized for a CI smoke run.
-type OverloadSpec struct {
-	Bench  string        // benchmark short name (default "IR")
-	Window time.Duration // arrival window per rate point (default 20s)
-	// Multipliers are the offered-rate points as fractions of the measured
-	// saturation rate (default 0.25, 0.5, 1, 1.5, 2).
-	Multipliers []float64
-	// Deadline is each invocation's end-to-end budget (default 8s).
-	Deadline time.Duration
-	// MaxQueueDepth bounds each per-function Acquire queue (default 8).
-	MaxQueueDepth int
-	// Probe is the closed-loop client count of the saturation probe; the
-	// admission concurrency cap is derived from it (default 8).
-	Probe int
-	// NoAdmission removes the front-door controller (the counterfactual:
-	// backpressure and deadlines alone, goodput collapses past saturation).
-	NoAdmission bool
-	Seed        uint64
+// Overload sizes; the tenancy scenario shares the deadline, queue bound
+// and probe.
+const (
+	overloadWindow     = 20 * time.Second // arrival window per rate point
+	overloadDeadline   = 8 * time.Second  // each invocation's end-to-end budget
+	overloadQueueDepth = 8                // bound on each per-function Acquire queue
+	// overloadProbe is the closed-loop client count of the saturation
+	// probe; the admission concurrency cap is derived from it.
+	overloadProbe = 8
+	// overloadGoodputFrac is the share of peak goodput the highest offered
+	// rate must hold.
+	overloadGoodputFrac = 0.7
+)
+
+// overloadMultipliers are the offered-rate points as fractions of the
+// measured saturation rate.
+var overloadMultipliers = []float64{0.25, 0.5, 1, 1.5, 2}
+
+// overloadRow is one rate point of the sweep.
+type overloadRow struct {
+	mode       engine.Mode
+	admission  bool    // front-door admission control on
+	multiplier float64 // offered rate as a fraction of saturation
+	rate       float64 // offered arrivals/sec
+	outcome
+	shed     int64 // Acquire-queue rejections across nodes
+	snapshot *obs.Snapshot
 }
 
-func (s OverloadSpec) withDefaults() OverloadSpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
+func overloadReport() (Report, error) {
+	on, err := overload(true)
+	if err != nil {
+		return Report{}, err
 	}
-	if s.Window == 0 {
-		s.Window = 20 * time.Second
+	off, err := overload(false)
+	if err != nil {
+		return Report{}, err
 	}
-	if len(s.Multipliers) == 0 {
-		s.Multipliers = []float64{0.25, 0.5, 1, 1.5, 2}
+	rep := Report{Table: renderOverload(append(on, off...)), Gate: overloadGate(on, off)}
+	for _, r := range on {
+		rep.addSnapshot(fmt.Sprintf("overload-%s-x%g", r.mode, r.multiplier), r.snapshot)
 	}
-	if s.Deadline == 0 {
-		s.Deadline = 8 * time.Second
-	}
-	if s.MaxQueueDepth == 0 {
-		s.MaxQueueDepth = 8
-	}
-	if s.Probe == 0 {
-		s.Probe = 8
-	}
-	return s
+	return rep, nil
 }
 
-// OverloadRow is one rate point of the sweep.
-type OverloadRow struct {
-	Mode       engine.Mode
-	Multiplier float64       // offered rate as a fraction of saturation
-	Rate       float64       // offered arrivals/sec
-	Offered    int           // arrivals scheduled
-	Admitted   int           // past the admission controller
-	Rejected   int           // turned away at the front door
-	Goodput    int           // admitted, completed, neither failed nor deadlined
-	Deadlined  int           // admitted but ran out of deadline
-	Failed     int           // admitted but failed (queue shed inside the engine)
-	Shed       int64         // Acquire-queue rejections across nodes
-	P50, P99   time.Duration // latency of goodput completions
-	// Snapshot is the rate point's flight recorder; identical specs yield
-	// byte-identical snapshots (the CI overload smoke diffs them).
-	Snapshot *obs.Snapshot
+// overloadGate passes when the controlled sweep holds its goodput and the
+// sweep without admission collapses: a gate both pass cannot detect
+// collapse.
+func overloadGate(on, off []overloadRow) error {
+	if err := checkOverload(on); err != nil {
+		return err
+	}
+	if checkOverload(off) == nil {
+		return errors.New("overload: goodput held without admission control too, so the gate cannot detect collapse")
+	}
+	return nil
 }
 
-// Saturation reports the probe's measured capacity, attached to the first
-// row of each mode for rendering.
-func (r OverloadRow) SatRate() float64 { return r.Rate / r.Multiplier }
+// overload runs the sweep once per mode, with or without front-door
+// admission. Each rate point runs on a fresh testbed so points are
+// independent; the saturation probe runs once per mode and fixes the
+// admission rate and every offered rate.
+func overload(admit bool) ([]overloadRow, error) {
+	var rows []overloadRow
+	for _, mode := range scenarioModes {
+		sat, err := saturation(mode)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range overloadMultipliers {
+			row, err := overloadOne(mode, sat, m, overloadWindow, admit)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows, nil
+}
 
-func overloadCluster(spec OverloadSpec) cluster.Config {
+func overloadTestbed() *Testbed {
 	cfg := cluster.DefaultConfig()
-	cfg.MaxQueueDepth = spec.MaxQueueDepth
-	return cfg
-}
-
-func overloadTestbed(spec OverloadSpec) *Testbed {
-	return NewTestbed(ClusterSpec{
-		FaaStore: true,
-		Cluster:  overloadCluster(spec),
-		Seed:     spec.Seed,
-	})
+	cfg.MaxQueueDepth = overloadQueueDepth
+	return NewTestbed(ClusterSpec{FaaStore: true, Cluster: cfg})
 }
 
 func overloadOptions(mode engine.Mode) engine.Options {
 	return engine.Options{Mode: mode, Data: engine.DataStore}
 }
 
-// overloadSaturation measures the cluster's saturation throughput for the
-// benchmark under one mode: Probe closed-loop clients drive it flat out
-// and the completion rate is the capacity every sweep point is sized from.
-func overloadSaturation(spec OverloadSpec, mode engine.Mode) (float64, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return 0, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := overloadTestbed(spec)
-	d, err := tb.Deploy(bench, overloadOptions(mode))
+// saturation measures the cluster's saturation throughput for the
+// benchmark under one mode: overloadProbe closed-loop clients drive it
+// flat out and the completion rate is the capacity every sweep point is
+// sized from.
+func saturation(mode engine.Mode) (float64, error) {
+	tb := overloadTestbed()
+	d, err := tb.Deploy(workloads.ByName(scenarioBench), overloadOptions(mode))
 	if err != nil {
-		return 0, fmt.Errorf("harness: overload probe deploy %s/%s: %w", spec.Bench, mode, err)
+		return 0, fmt.Errorf("harness: overload probe deploy %s/%s: %w", scenarioBench, mode, err)
 	}
-	// Probe closed-loop clients, bounded per client. Elapsed time is the
-	// last completion instant — not the drained clock, which would include
-	// the keep-alive eviction tail and dwarf the measurement.
+	// Bounded per client. Elapsed time is the last completion instant —
+	// not the drained clock, which would include the keep-alive eviction
+	// tail and dwarf the measurement.
 	const perClient = 8
 	total := 0
 	var lastDone sim.Time
-	for i := 0; i < spec.Probe; i++ {
+	for i := 0; i < overloadProbe; i++ {
 		remaining := perClient
 		var next func()
 		next = func() {
@@ -151,176 +155,115 @@ func overloadSaturation(spec OverloadSpec, mode engine.Mode) (float64, error) {
 	return float64(total) / elapsed, nil
 }
 
-// Overload runs the sweep once per mode. Each rate point runs on a fresh
-// testbed so points are independent; the saturation probe runs once per
-// mode and fixes the admission rate and every offered rate.
-func Overload(spec OverloadSpec, modes []engine.Mode) ([]OverloadRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
+// overloadOne offers satRate*multiplier arrivals/sec for window on a fresh
+// testbed with the store breaker armed, through the admission controller
+// when admit is set.
+func overloadOne(mode engine.Mode, satRate, multiplier float64, window time.Duration, admit bool) (overloadRow, error) {
+	bench := workloads.ByName(scenarioBench)
+	tb := overloadTestbed()
+	bus, log := recordedBus(tb)
+	if err := armBreaker(tb, bus); err != nil {
+		return overloadRow{}, err
 	}
-	var rows []OverloadRow
-	for _, mode := range modes {
-		sat, err := overloadSaturation(spec, mode)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range spec.Multipliers {
-			row, err := overloadOne(spec, mode, sat, m)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
-}
-
-func overloadOne(spec OverloadSpec, mode engine.Mode, satRate, multiplier float64) (OverloadRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return OverloadRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
-	}
-	tb := overloadTestbed(spec)
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
-	// Arm the store breaker: overload must not be able to wedge the run on
-	// a browned-out database (no brownout is injected here, but the armed
-	// watchdog is part of the configuration under test).
-	breaker, err := store.NewBreaker(tb.Env, store.BreakerConfig{Timeout: 30 * time.Second})
-	if err != nil {
-		return OverloadRow{}, err
-	}
-	breaker.SetBus(bus)
-	tb.Runtime.Store.SetBreaker(breaker)
-
 	d, err := tb.Deploy(bench, overloadOptions(mode))
 	if err != nil {
-		return OverloadRow{}, fmt.Errorf("harness: overload deploy %s/%s: %w", spec.Bench, mode, err)
+		return overloadRow{}, fmt.Errorf("harness: overload deploy %s/%s: %w", scenarioBench, mode, err)
 	}
 
 	var ctl *admission.Controller
-	if !spec.NoAdmission {
+	if admit {
 		// Admit at the measured capacity with headroom for in-flight work:
 		// the rate limiter pins sustained admissions to saturation and the
 		// concurrency cap bounds how much admitted work can pile up.
 		ctl, err = admission.New(tb.Env, admission.Config{
 			RatePerSec:    satRate,
-			MaxConcurrent: 2 * spec.Probe,
+			MaxConcurrent: 2 * overloadProbe,
 		})
 		if err != nil {
-			return OverloadRow{}, err
+			return overloadRow{}, err
 		}
 		ctl.SetBus(bus)
 	}
 
-	rate := satRate * multiplier
-	offered := int(rate * spec.Window.Seconds())
-	if offered < 1 {
-		offered = 1
-	}
-	interval := time.Duration(float64(time.Second) / rate)
-
-	good := &metrics.Recorder{}
-	admitted, rejected, goodN, deadlined, failed := 0, 0, 0, 0, 0
-	for i := 0; i < offered; i++ {
-		delay := time.Duration(i) * interval
-		tb.Env.Schedule(delay, func() {
-			if err := ctl.Admit(bench.Name); err != nil {
-				rejected++
-				return
-			}
-			admitted++
-			d.Engine.InvokeOpts(engine.InvokeOptions{
-				Deadline: tb.Env.Now() + sim.Time(spec.Deadline),
-			}, func(r engine.Result) {
-				ctl.Release()
-				switch {
-				case r.DeadlineExceeded:
-					deadlined++
-				case r.Failed:
-					failed++
-				default:
-					goodN++
-					good.Add(r.Latency())
-				}
-			})
+	row := overloadRow{mode: mode, admission: admit, multiplier: multiplier, rate: satRate * multiplier}
+	row.offered = max(int(row.rate*window.Seconds()), 1)
+	stagger(tb.Env, 0, time.Duration(float64(time.Second)/row.rate), row.offered, func() {
+		if err := ctl.Admit(bench.Name); err != nil {
+			row.rejected++
+			return
+		}
+		row.admitted++
+		d.Engine.InvokeOpts(engine.InvokeOptions{
+			Deadline: tb.Env.Now() + sim.Time(overloadDeadline),
+		}, func(r engine.Result) {
+			ctl.Release()
+			row.resolve(r)
 		})
-	}
+	})
 	tb.Env.Run()
 
-	var shed int64
 	for _, w := range tb.Workers {
-		shed += tb.Runtime.Nodes[w].Stats().Shed
+		row.shed += tb.Runtime.Nodes[w].Stats().Shed
 	}
-	return OverloadRow{
-		Mode:       mode,
-		Multiplier: multiplier,
-		Rate:       rate,
-		Offered:    offered,
-		Admitted:   admitted,
-		Rejected:   rejected,
-		Goodput:    goodN,
-		Deadlined:  deadlined,
-		Failed:     failed,
-		Shed:       shed,
-		P50:        good.Percentile(0.5),
-		P99:        good.P99(),
-		Snapshot: obs.BuildSnapshot(log, map[string]string{
-			"scenario":   "overload",
-			"bench":      spec.Bench,
-			"mode":       mode.String(),
-			"multiplier": fmt.Sprintf("%g", multiplier),
-			"admission":  fmt.Sprintf("%t", !spec.NoAdmission),
-		}),
-	}, nil
+	row.snapshot = obs.BuildSnapshot(log, map[string]string{
+		"scenario":   "overload",
+		"bench":      scenarioBench,
+		"mode":       mode.String(),
+		"multiplier": fmt.Sprintf("%g", multiplier),
+		"admission":  fmt.Sprintf("%t", admit),
+	})
+	return row, nil
 }
 
-// RenderOverload builds the per-rate overload table.
-func RenderOverload(rows []OverloadRow) *metrics.Table {
-	t := metrics.NewTable("mode", "xsat", "rate/s", "offered", "admitted", "rejected",
+func renderOverload(rows []overloadRow) *metrics.Table {
+	t := metrics.NewTable("mode", "admission", "xsat", "rate/s", "offered", "admitted", "rejected",
 		"goodput", "deadlined", "failed", "shed", "p50", "p99")
 	for _, r := range rows {
-		t.AddRow(r.Mode.String(), fmt.Sprintf("%.2f", r.Multiplier),
-			fmt.Sprintf("%.2f", r.Rate),
-			fmt.Sprintf("%d", r.Offered), fmt.Sprintf("%d", r.Admitted),
-			fmt.Sprintf("%d", r.Rejected), fmt.Sprintf("%d", r.Goodput),
-			fmt.Sprintf("%d", r.Deadlined), fmt.Sprintf("%d", r.Failed),
-			fmt.Sprintf("%d", r.Shed),
-			metrics.Millis(r.P50), metrics.Millis(r.P99))
+		t.AddRow(r.mode.String(), onOff(r.admission), fmt.Sprintf("%.2f", r.multiplier),
+			fmt.Sprintf("%.2f", r.rate),
+			fmt.Sprintf("%d", r.offered), fmt.Sprintf("%d", r.admitted),
+			fmt.Sprintf("%d", r.rejected), fmt.Sprintf("%d", r.goodput),
+			fmt.Sprintf("%d", r.deadlined), fmt.Sprintf("%d", r.failed),
+			fmt.Sprintf("%d", r.shed),
+			metrics.Millis(r.good.Percentile(0.5)), metrics.Millis(r.good.P99()))
 	}
 	return t
 }
 
-// CheckOverload is the graceful-degradation gate: per mode, goodput at the
-// highest offered rate must hold at least frac of the sweep's peak
-// goodput. With admission on the curve flat-tops and the gate passes;
-// without it the collapse past saturation trips the gate.
-func CheckOverload(rows []OverloadRow, frac float64) error {
-	byMode := map[engine.Mode][]OverloadRow{}
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
+}
+
+// checkOverload is the graceful-degradation gate: per mode, goodput at the
+// highest offered rate must hold at least overloadGoodputFrac of the
+// sweep's peak goodput. With admission on the curve flat-tops and the gate
+// passes; without it the collapse past saturation trips the gate.
+func checkOverload(rows []overloadRow) error {
+	byMode := map[engine.Mode][]overloadRow{}
 	var modes []engine.Mode
 	for _, r := range rows {
-		if _, ok := byMode[r.Mode]; !ok {
-			modes = append(modes, r.Mode)
+		if _, ok := byMode[r.mode]; !ok {
+			modes = append(modes, r.mode)
 		}
-		byMode[r.Mode] = append(byMode[r.Mode], r)
+		byMode[r.mode] = append(byMode[r.mode], r)
 	}
 	for _, mode := range modes {
 		mrows := byMode[mode]
 		peak, last := 0, mrows[len(mrows)-1]
 		for _, r := range mrows {
-			if r.Goodput > peak {
-				peak = r.Goodput
+			if r.goodput > peak {
+				peak = r.goodput
 			}
 		}
 		if peak == 0 {
 			return fmt.Errorf("%s produced zero goodput at every rate", mode)
 		}
-		if float64(last.Goodput) < frac*float64(peak) {
+		if float64(last.goodput) < overloadGoodputFrac*float64(peak) {
 			return fmt.Errorf("%s goodput collapsed: %d at %.2fx saturation vs peak %d (gate: >= %.0f%%)",
-				mode, last.Goodput, last.Multiplier, peak, frac*100)
+				mode, last.goodput, last.multiplier, peak, overloadGoodputFrac*100)
 		}
 	}
 	return nil

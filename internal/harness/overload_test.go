@@ -1,80 +1,80 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/engine"
 )
 
-// overloadSmokeSpec is the default sweep (well under a second of wall
-// clock per mode); the default window is long enough that the 2x point is
-// deep into steady-state congestion.
-func overloadSmokeSpec(noAdmission bool) OverloadSpec {
-	return OverloadSpec{NoAdmission: noAdmission}
-}
-
 func TestOverloadGracefulDegradationWithControls(t *testing.T) {
-	rows, err := Overload(overloadSmokeSpec(false), []engine.Mode{engine.ModeWorkerSP})
+	rows, err := overload(true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckOverload(rows, 0.7); err != nil {
+	if err := checkOverload(rows); err != nil {
 		t.Fatalf("controls on, gate tripped: %v", err)
 	}
 	last := rows[len(rows)-1]
-	if last.Multiplier != 2 {
-		t.Fatalf("last multiplier = %v, want 2", last.Multiplier)
+	if last.multiplier != 2 {
+		t.Fatalf("last multiplier = %v, want 2", last.multiplier)
 	}
-	if last.Rejected == 0 {
+	if last.rejected == 0 {
 		t.Fatal("2x saturation with admission on rejected nothing")
 	}
-	if last.Admitted+last.Rejected != last.Offered {
-		t.Fatalf("admitted %d + rejected %d != offered %d", last.Admitted, last.Rejected, last.Offered)
+	if last.admitted+last.rejected != last.offered {
+		t.Fatalf("admitted %d + rejected %d != offered %d", last.admitted, last.rejected, last.offered)
 	}
 	// Every admitted invocation is accounted for — none lost.
-	if got := last.Goodput + last.Deadlined + last.Failed; got != last.Admitted {
+	if got := last.goodput + last.deadlined + last.failed; got != last.admitted {
 		t.Fatalf("goodput %d + deadlined %d + failed %d = %d, want admitted %d",
-			last.Goodput, last.Deadlined, last.Failed, got, last.Admitted)
+			last.goodput, last.deadlined, last.failed, got, last.admitted)
 	}
 }
 
 func TestOverloadCounterfactualCollapses(t *testing.T) {
-	rows, err := Overload(overloadSmokeSpec(true), []engine.Mode{engine.ModeWorkerSP})
+	rows, err := overload(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckOverload(rows, 0.7); err == nil {
+	if err := checkOverload(rows); err == nil {
 		t.Fatal("no-admission sweep passed the goodput gate; expected collapse past saturation")
 	}
 	last := rows[len(rows)-1]
-	if last.Rejected != 0 {
-		t.Fatalf("no-admission run rejected %d arrivals", last.Rejected)
+	if last.rejected != 0 {
+		t.Fatalf("no-admission run rejected %d arrivals", last.rejected)
 	}
-	if last.Deadlined == 0 && last.Failed == 0 {
+	if last.deadlined == 0 && last.failed == 0 {
 		t.Fatal("2x saturation without admission shed nothing — not saturated")
 	}
 }
 
+// TestOverloadGateRequiresCounterfactualCollapse checks the scenario gate
+// on hand-built sweeps: a controlled sweep that holds its goodput passes
+// only when the no-admission sweep collapses.
+func TestOverloadGateRequiresCounterfactualCollapse(t *testing.T) {
+	curve := func(admit bool, goodput ...int) []overloadRow {
+		var rows []overloadRow
+		for i, g := range goodput {
+			r := overloadRow{mode: engine.ModeWorkerSP, admission: admit, multiplier: overloadMultipliers[i]}
+			r.goodput = g
+			rows = append(rows, r)
+		}
+		return rows
+	}
+	held := curve(true, 10, 20, 40, 40, 39)
+	if err := overloadGate(held, curve(false, 10, 20, 40, 20, 10)); err != nil {
+		t.Fatalf("held sweep with a collapsing counterfactual failed the gate: %v", err)
+	}
+	if overloadGate(held, curve(false, 10, 20, 40, 40, 38)) == nil {
+		t.Fatal("a counterfactual that held its goodput passed the gate")
+	}
+	if overloadGate(curve(true, 10, 20, 40, 20, 10), curve(false, 10, 20, 40, 20, 10)) == nil {
+		t.Fatal("a collapsed controlled sweep passed the gate")
+	}
+}
+
+// TestOverloadSameSeedSnapshotsIdentical reruns the registered overload
+// scenario and requires byte-identical Reports, snapshots included.
 func TestOverloadSameSeedSnapshotsIdentical(t *testing.T) {
-	spec := overloadSmokeSpec(false)
-	spec.Multipliers = []float64{2}
-	run := func() []byte {
-		rows, err := Overload(spec, []engine.Mode{engine.ModeWorkerSP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := rows[0].Snapshot.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("same-seed overload snapshots differ (%d vs %d bytes)", len(a), len(b))
-	}
-	if len(a) == 0 {
-		t.Fatal("empty snapshot")
-	}
+	requireDeterministic(t, "overload")
 }

@@ -10,199 +10,137 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/workloads"
 )
 
-// This file drives the multi-tenant noisy-neighbor scenario: N well-behaved
+// This file drives the multi-tenant noisy-neighbor scenario: well-behaved
 // tenants each offering exactly their fair share of the cluster's measured
-// saturation rate, plus one noisy tenant offering NoisyFactor times its
-// share. With per-tenant weighted admission buckets and weighted-fair
+// saturation rate, plus one noisy tenant offering tenancyNoisyFactor times
+// its share. With per-tenant weighted admission buckets and weighted-fair
 // Acquire queueing, the noisy tenant must be clipped to its slice at the
 // front door while every well-behaved tenant keeps its goodput — zero
 // starvation — and the aggregate goodput must match what a single
 // untenanted stream achieves at the same offered rate (isolation costs
-// nothing). Fully deterministic: same spec, byte-identical snapshots.
+// nothing).
 
-// TenancySpec configures one noisy-neighbor run. Zero values take defaults
-// sized for a CI smoke run.
-type TenancySpec struct {
-	Bench  string        // benchmark short name (default "IR")
-	Window time.Duration // arrival window (default 20s)
-	// Deadline is each invocation's end-to-end budget (default 8s).
-	Deadline time.Duration
-	// MaxQueueDepth bounds each per-(function, tenant) Acquire queue
-	// (default 8).
-	MaxQueueDepth int
-	// Probe is the closed-loop client count of the saturation probe; the
-	// admission concurrency cap is derived from it (default 8).
-	Probe int
-	// Tenants is the well-behaved tenant count (default 20). One noisy
-	// tenant is always added on top.
-	Tenants int
-	// NoisyFactor is the noisy tenant's offered load as a multiple of its
-	// fair share (default 10).
-	NoisyFactor float64
-	Seed        uint64
-}
-
-func (s TenancySpec) withDefaults() TenancySpec {
-	if s.Bench == "" {
-		s.Bench = "IR"
-	}
-	if s.Window == 0 {
-		// Longer than the overload default: each well-behaved tenant offers
-		// only 1/(Tenants+1) of saturation, and the 90% zero-starvation gate
-		// needs per-tenant counts coarse truncation can't dominate.
-		s.Window = 200 * time.Second
-	}
-	if s.Deadline == 0 {
-		s.Deadline = 8 * time.Second
-	}
-	if s.MaxQueueDepth == 0 {
-		s.MaxQueueDepth = 8
-	}
-	if s.Probe == 0 {
-		s.Probe = 8
-	}
-	if s.Tenants == 0 {
-		s.Tenants = 20
-	}
-	if s.NoisyFactor == 0 {
-		s.NoisyFactor = 10
-	}
-	return s
-}
+// Tenancy sizes; the deadline, queue bound and probe are the overload
+// scenario's.
+const (
+	// tenancyWindow is longer than the overload window: each well-behaved
+	// tenant offers only 1/(tenancyTenants+1) of saturation, and the
+	// zero-starvation gate needs per-tenant counts coarse truncation can't
+	// dominate.
+	tenancyWindow      = 200 * time.Second
+	tenancyTenants     = 20 // well-behaved tenants; one noisy tenant is added
+	tenancyNoisyFactor = 10 // noisy offered load as a multiple of its fair share
+	// A well-behaved tenant must keep tenancyTenantFrac of its offered
+	// count as goodput, and the aggregate goodput must stay within
+	// tenancyAggTol of the single-tenant reference.
+	tenancyTenantFrac = 0.9
+	tenancyAggTol     = 0.1
+)
 
 // noisyTenant is the misbehaving tenant's identity in the scenario.
 const noisyTenant = "noisy"
 
-// TenantOutcome is one tenant's slice of a tenancy run.
-type TenantOutcome struct {
-	Tenant    string
-	Noisy     bool
-	Offered   int // arrivals scheduled
-	Admitted  int // past the front door (global + tenant gates)
-	Rejected  int // turned away at the front door
-	Goodput   int // admitted, completed, neither failed nor deadlined
-	Deadlined int
-	Failed    int
-	P50, P99  time.Duration // latency of goodput completions
+// tenantOutcome is one tenant's slice of a tenancy run.
+type tenantOutcome struct {
+	tenant string
+	noisy  bool
+	outcome
 }
 
-// FairShare is the tenant's zero-starvation target: its full offered count
-// for a well-behaved tenant (it asked for no more than its share), and the
-// fair fraction of its overload for the noisy one.
-func (t TenantOutcome) FairShare() int {
-	if !t.Noisy {
-		return t.Offered
-	}
-	return t.Offered / 10 // informational; the gate only binds well-behaved tenants
-}
-
-// TenancyRow is one mode's noisy-neighbor run.
-type TenancyRow struct {
-	Mode     engine.Mode
-	SatRate  float64 // measured saturation, arrivals/sec
-	FairRate float64 // SatRate / (Tenants + 1)
-	AggRate  float64 // total offered arrivals/sec across tenants
-	Tenants  []TenantOutcome
-	// AggGoodput sums goodput across every tenant; RefGoodput is the
-	// single-tenant reference (an untenanted admitted stream at AggRate on
+// tenancyRow is one mode's noisy-neighbor run.
+type tenancyRow struct {
+	mode     engine.Mode
+	satRate  float64 // measured saturation, arrivals/sec
+	fairRate float64 // satRate / (tenancyTenants + 1)
+	aggRate  float64 // total offered arrivals/sec across tenants
+	tenants  []tenantOutcome
+	// aggGoodput sums goodput across every tenant; refGoodput is the
+	// single-tenant reference (an untenanted admitted stream at aggRate on
 	// an identical fresh testbed) the isolation-overhead gate compares it
 	// against.
-	AggGoodput int
-	RefGoodput int
-	Shed       int64 // Acquire-queue rejections across nodes
-	// Snapshot is the run's flight recorder; identical specs yield
-	// byte-identical snapshots (the CI tenancy smoke diffs them).
-	Snapshot *obs.Snapshot
+	aggGoodput int
+	refGoodput int
+	shed       int64 // Acquire-queue rejections across nodes
+	snapshot   *obs.Snapshot
+}
+
+func tenancyReport() (Report, error) {
+	rows, err := tenancy()
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderTenancy(rows), Gate: checkTenancy(rows)}
+	for _, r := range rows {
+		rep.Notes = append(rep.Notes, fmt.Sprintf(
+			"%s: saturation %.2f/s, fair share %.3f/s per tenant, aggregate goodput %d (single-tenant reference %d), shed %d",
+			r.mode, r.satRate, r.fairRate, r.aggGoodput, r.refGoodput, r.shed))
+		rep.addSnapshot("tenancy-"+r.mode.String(), r.snapshot)
+	}
+	return rep, nil
 }
 
 // tenantNames returns the scenario's tenant identities in deterministic
 // order: well-behaved tenants first, the noisy tenant last.
-func tenantNames(spec TenancySpec) []string {
-	names := make([]string, 0, spec.Tenants+1)
-	for i := 0; i < spec.Tenants; i++ {
+func tenantNames() []string {
+	names := make([]string, 0, tenancyTenants+1)
+	for i := 0; i < tenancyTenants; i++ {
 		names = append(names, fmt.Sprintf("tenant-%02d", i))
 	}
 	return append(names, noisyTenant)
 }
 
-// Tenancy runs the noisy-neighbor scenario once per mode. The saturation
+// tenancy runs the noisy-neighbor scenario once per mode. The saturation
 // probe runs once per mode and fixes every tenant's fair share; the tenancy
 // run and the single-tenant reference each get a fresh testbed so they are
 // independent.
-func Tenancy(spec TenancySpec, modes []engine.Mode) ([]TenancyRow, error) {
-	spec = spec.withDefaults()
-	if len(modes) == 0 {
-		modes = []engine.Mode{engine.ModeWorkerSP, engine.ModeMasterSP}
-	}
-	var rows []TenancyRow
-	for _, mode := range modes {
-		ovSpec := OverloadSpec{
-			Bench:         spec.Bench,
-			Window:        spec.Window,
-			Deadline:      spec.Deadline,
-			MaxQueueDepth: spec.MaxQueueDepth,
-			Probe:         spec.Probe,
-			Seed:          spec.Seed,
-		}
-		sat, err := overloadSaturation(ovSpec, mode)
+func tenancy() ([]tenancyRow, error) {
+	var rows []tenancyRow
+	for _, mode := range scenarioModes {
+		sat, err := saturation(mode)
 		if err != nil {
 			return nil, err
 		}
-		row, err := tenancyOne(spec, mode, sat)
+		row, err := tenancyOne(mode, sat)
 		if err != nil {
 			return nil, err
 		}
 		// Single-tenant reference: one untenanted admitted stream at the
 		// same aggregate offered rate, same admission rate and cap — the
 		// goodput a non-isolated front door achieves with the same demand.
-		ref, err := overloadOne(ovSpec, mode, sat, row.AggRate/sat)
+		ref, err := overloadOne(mode, sat, row.aggRate/sat, tenancyWindow, true)
 		if err != nil {
 			return nil, err
 		}
-		row.RefGoodput = ref.Goodput
+		row.refGoodput = ref.goodput
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-func tenancyOne(spec TenancySpec, mode engine.Mode, satRate float64) (TenancyRow, error) {
-	bench := workloads.ByName(spec.Bench)
-	if bench == nil {
-		return TenancyRow{}, fmt.Errorf("harness: unknown benchmark %q", spec.Bench)
+func tenancyOne(mode engine.Mode, satRate float64) (tenancyRow, error) {
+	bench := workloads.ByName(scenarioBench)
+	tb := overloadTestbed()
+	bus, log := recordedBus(tb)
+	if err := armBreaker(tb, bus); err != nil {
+		return tenancyRow{}, err
 	}
-	tb := overloadTestbed(OverloadSpec{
-		Bench:         spec.Bench,
-		MaxQueueDepth: spec.MaxQueueDepth,
-		Seed:          spec.Seed,
-	})
-	bus := obs.NewBus()
-	log := obs.NewTraceLog()
-	bus.Subscribe(log.Record)
-	tb.AttachBus(bus)
-	breaker, err := store.NewBreaker(tb.Env, store.BreakerConfig{Timeout: 30 * time.Second})
-	if err != nil {
-		return TenancyRow{}, err
-	}
-	breaker.SetBus(bus)
-	tb.Runtime.Store.SetBreaker(breaker)
-
 	d, err := tb.Deploy(bench, overloadOptions(mode))
 	if err != nil {
-		return TenancyRow{}, fmt.Errorf("harness: tenancy deploy %s/%s: %w", spec.Bench, mode, err)
+		return tenancyRow{}, fmt.Errorf("harness: tenancy deploy %s/%s: %w", scenarioBench, mode, err)
 	}
 
-	names := tenantNames(spec)
+	names := tenantNames()
 	total := len(names)
 	fairRate := satRate / float64(total)
 
 	// Every tenant weighs 1: the fair share is an equal slice. The rate
 	// buckets clip each tenant to its slice at the front door; the
-	// per-tenant concurrency override stays generous (Probe) so isolation
-	// under this scenario is enforced by rate, not by in-flight caps.
+	// per-tenant concurrency override stays generous (the probe size) so
+	// isolation under this scenario is enforced by rate, not by in-flight
+	// caps.
 	tenantCfgs := make(map[string]admission.TenantConfig, total)
 	weights := make(map[string]float64, total)
 	for _, name := range names {
@@ -210,140 +148,117 @@ func tenancyOne(spec TenancySpec, mode engine.Mode, satRate float64) (TenancyRow
 		// under one token apart once intervals truncate to integer
 		// nanoseconds, and a burst-1 bucket would alternate admit/reject on
 		// that knife edge.
-		tenantCfgs[name] = admission.TenantConfig{Weight: 1, Burst: 2, MaxConcurrent: spec.Probe}
+		tenantCfgs[name] = admission.TenantConfig{Weight: 1, Burst: 2, MaxConcurrent: overloadProbe}
 		weights[name] = 1
 	}
 	tb.SetTenantWeights(weights)
 	ctl, err := admission.New(tb.Env, admission.Config{
 		RatePerSec:    satRate,
-		MaxConcurrent: 2 * spec.Probe,
+		MaxConcurrent: 2 * overloadProbe,
 		Tenants:       tenantCfgs,
 	})
 	if err != nil {
-		return TenancyRow{}, err
+		return tenancyRow{}, err
 	}
 	ctl.SetBus(bus)
 
-	outcomes := make([]TenantOutcome, total)
-	recs := make([]*metrics.Recorder, total)
+	outcomes := make([]tenantOutcome, total)
 	aggRate := 0.0
 	for idx, name := range names {
-		idx := idx
+		o := &outcomes[idx]
+		o.tenant, o.noisy = name, name == noisyTenant
 		rate := fairRate
-		if name == noisyTenant {
-			rate = fairRate * spec.NoisyFactor
+		if o.noisy {
+			rate = fairRate * tenancyNoisyFactor
 		}
 		aggRate += rate
-		offered := int(rate * spec.Window.Seconds())
-		if offered < 1 {
-			offered = 1
-		}
+		o.offered = max(int(rate*tenancyWindow.Seconds()), 1)
 		interval := time.Duration(float64(time.Second) / rate)
 		// Stagger tenant streams across one fair-share interval so the
 		// arrival pattern interleaves deterministically instead of every
 		// tenant firing on the same instant.
 		phase := time.Duration(float64(interval) * float64(idx) / float64(total))
-		outcomes[idx] = TenantOutcome{
-			Tenant:  name,
-			Noisy:   name == noisyTenant,
-			Offered: offered,
-		}
-		recs[idx] = &metrics.Recorder{}
-		tenant := name
-		for k := 0; k < offered; k++ {
-			delay := phase + time.Duration(k)*interval
-			tb.Env.Schedule(delay, func() {
-				release, err := ctl.AdmitTenant(bench.Name, tenant)
-				if err != nil {
-					outcomes[idx].Rejected++
-					return
-				}
-				outcomes[idx].Admitted++
-				d.Engine.InvokeOpts(engine.InvokeOptions{
-					Deadline: tb.Env.Now() + sim.Time(spec.Deadline),
-					Tenant:   tenant,
-				}, func(r engine.Result) {
-					release()
-					switch {
-					case r.DeadlineExceeded:
-						outcomes[idx].Deadlined++
-					case r.Failed:
-						outcomes[idx].Failed++
-					default:
-						outcomes[idx].Goodput++
-						recs[idx].Add(r.Latency())
-					}
-				})
+		stagger(tb.Env, phase, interval, o.offered, func() {
+			release, err := ctl.AdmitTenant(bench.Name, o.tenant)
+			if err != nil {
+				o.rejected++
+				return
+			}
+			o.admitted++
+			d.Engine.InvokeOpts(engine.InvokeOptions{
+				Deadline: tb.Env.Now() + sim.Time(overloadDeadline),
+				Tenant:   o.tenant,
+			}, func(r engine.Result) {
+				release()
+				o.resolve(r)
 			})
-		}
+		})
 	}
 	tb.Env.Run()
 
 	agg := 0
-	for i := range outcomes {
-		outcomes[i].P50 = recs[i].Percentile(0.5)
-		outcomes[i].P99 = recs[i].P99()
-		agg += outcomes[i].Goodput
+	for _, o := range outcomes {
+		agg += o.goodput
 	}
 	var shed int64
 	for _, w := range tb.Workers {
 		shed += tb.Runtime.Nodes[w].Stats().Shed
 	}
-	return TenancyRow{
-		Mode:       mode,
-		SatRate:    satRate,
-		FairRate:   fairRate,
-		AggRate:    aggRate,
-		Tenants:    outcomes,
-		AggGoodput: agg,
-		Shed:       shed,
-		Snapshot: obs.BuildSnapshot(log, map[string]string{
+	return tenancyRow{
+		mode:       mode,
+		satRate:    satRate,
+		fairRate:   fairRate,
+		aggRate:    aggRate,
+		tenants:    outcomes,
+		aggGoodput: agg,
+		shed:       shed,
+		snapshot: obs.BuildSnapshot(log, map[string]string{
 			"scenario": "tenancy",
-			"bench":    spec.Bench,
+			"bench":    scenarioBench,
 			"mode":     mode.String(),
-			"tenants":  fmt.Sprintf("%d", spec.Tenants),
-			"noisy":    fmt.Sprintf("%g", spec.NoisyFactor),
+			"tenants":  fmt.Sprintf("%d", tenancyTenants),
+			"noisy":    fmt.Sprintf("%g", float64(tenancyNoisyFactor)),
 		}),
 	}, nil
 }
 
-// RenderTenancy builds the per-tenant tenancy table.
-func RenderTenancy(rows []TenancyRow) *metrics.Table {
+func renderTenancy(rows []tenancyRow) *metrics.Table {
 	t := metrics.NewTable("mode", "tenant", "offered", "admitted", "rejected",
 		"goodput", "deadlined", "failed", "p50", "p99")
 	for _, row := range rows {
-		for _, tn := range row.Tenants {
-			t.AddRow(row.Mode.String(), tn.Tenant,
-				fmt.Sprintf("%d", tn.Offered), fmt.Sprintf("%d", tn.Admitted),
-				fmt.Sprintf("%d", tn.Rejected), fmt.Sprintf("%d", tn.Goodput),
-				fmt.Sprintf("%d", tn.Deadlined), fmt.Sprintf("%d", tn.Failed),
-				metrics.Millis(tn.P50), metrics.Millis(tn.P99))
+		for _, tn := range row.tenants {
+			t.AddRow(row.mode.String(), tn.tenant,
+				fmt.Sprintf("%d", tn.offered), fmt.Sprintf("%d", tn.admitted),
+				fmt.Sprintf("%d", tn.rejected), fmt.Sprintf("%d", tn.goodput),
+				fmt.Sprintf("%d", tn.deadlined), fmt.Sprintf("%d", tn.failed),
+				metrics.Millis(tn.good.Percentile(0.5)), metrics.Millis(tn.good.P99()))
 		}
 	}
 	return t
 }
 
-// CheckTenancy is the zero-starvation gate: per mode, every well-behaved
-// tenant must achieve at least tenantFrac of its weighted fair-share
-// goodput (its full offered count — it asked for no more than its share),
-// and the aggregate goodput must stay within aggTol of the single-tenant
-// reference at the same offered rate (isolation must not cost throughput).
-func CheckTenancy(rows []TenancyRow, tenantFrac, aggTol float64) error {
+// checkTenancy is the zero-starvation gate: per mode, every well-behaved
+// tenant must achieve at least tenancyTenantFrac of its weighted
+// fair-share goodput (its full offered count — it asked for no more than
+// its share), and the aggregate goodput must stay within tenancyAggTol of
+// the single-tenant reference at the same offered rate (isolation must not
+// cost throughput).
+func checkTenancy(rows []tenancyRow) error {
 	for _, row := range rows {
-		for _, tn := range row.Tenants {
-			if tn.Noisy {
+		for _, tn := range row.tenants {
+			if tn.noisy {
 				continue
 			}
-			if float64(tn.Goodput) < tenantFrac*float64(tn.Offered) {
+			if float64(tn.goodput) < tenancyTenantFrac*float64(tn.offered) {
 				return fmt.Errorf("%s tenant %s starved: goodput %d of %d offered (gate: >= %.0f%%)",
-					row.Mode, tn.Tenant, tn.Goodput, tn.Offered, tenantFrac*100)
+					row.mode, tn.tenant, tn.goodput, tn.offered, tenancyTenantFrac*100)
 			}
 		}
-		if row.RefGoodput > 0 {
-			diff := math.Abs(float64(row.AggGoodput) - float64(row.RefGoodput))
-			if diff > aggTol*float64(row.RefGoodput) {
+		if row.refGoodput > 0 {
+			diff := math.Abs(float64(row.aggGoodput) - float64(row.refGoodput))
+			if diff > tenancyAggTol*float64(row.refGoodput) {
 				return fmt.Errorf("%s aggregate goodput %d drifted beyond %.0f%% of single-tenant reference %d",
-					row.Mode, row.AggGoodput, aggTol*100, row.RefGoodput)
+					row.mode, row.aggGoodput, tenancyAggTol*100, row.refGoodput)
 			}
 		}
 	}

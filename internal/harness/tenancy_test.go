@@ -1,94 +1,80 @@
 package harness
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/engine"
 )
 
 func TestTenancyNoisyNeighborGate(t *testing.T) {
-	rows, err := Tenancy(TenancySpec{}, []engine.Mode{engine.ModeWorkerSP})
+	rows, err := tenancy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckTenancy(rows, 0.9, 0.1); err != nil {
+	if err := checkTenancy(rows); err != nil {
 		t.Fatalf("zero-starvation gate tripped: %v", err)
 	}
 	row := rows[0]
-	if len(row.Tenants) != 21 {
-		t.Fatalf("tenant count = %d, want 21", len(row.Tenants))
+	if len(row.tenants) != 21 {
+		t.Fatalf("tenant count = %d, want 21", len(row.tenants))
 	}
-	var noisy TenantOutcome
-	for _, tn := range row.Tenants {
-		if tn.Admitted+tn.Rejected != tn.Offered {
+	var noisy tenantOutcome
+	for _, tn := range row.tenants {
+		if tn.admitted+tn.rejected != tn.offered {
 			t.Fatalf("tenant %s: admitted %d + rejected %d != offered %d",
-				tn.Tenant, tn.Admitted, tn.Rejected, tn.Offered)
+				tn.tenant, tn.admitted, tn.rejected, tn.offered)
 		}
-		if got := tn.Goodput + tn.Deadlined + tn.Failed; got != tn.Admitted {
+		if got := tn.goodput + tn.deadlined + tn.failed; got != tn.admitted {
 			t.Fatalf("tenant %s: goodput %d + deadlined %d + failed %d = %d, want admitted %d",
-				tn.Tenant, tn.Goodput, tn.Deadlined, tn.Failed, got, tn.Admitted)
+				tn.tenant, tn.goodput, tn.deadlined, tn.failed, got, tn.admitted)
 		}
-		if tn.Noisy {
+		if tn.noisy {
 			noisy = tn
 		}
 	}
-	if noisy.Tenant != "noisy" {
+	if noisy.tenant != "noisy" {
 		t.Fatal("noisy tenant missing from outcomes")
 	}
 	// The misbehaving tenant offered 10x its share; the per-tenant bucket
 	// must clip it near its slice, not let it crowd the others out.
-	if noisy.Rejected == 0 {
+	if noisy.rejected == 0 {
 		t.Fatal("noisy tenant at 10x fair share was never rejected")
 	}
-	if noisy.Admitted > noisy.Offered/4 {
+	if noisy.admitted > noisy.offered/4 {
 		t.Fatalf("noisy tenant admitted %d of %d offered — bucket not clipping",
-			noisy.Admitted, noisy.Offered)
-	}
-}
-
-func TestTenancySameSeedSnapshotsIdentical(t *testing.T) {
-	run := func() []byte {
-		rows, err := Tenancy(TenancySpec{}, []engine.Mode{engine.ModeWorkerSP})
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := rows[0].Snapshot.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("same-seed tenancy snapshots differ (%d vs %d bytes)", len(a), len(b))
-	}
-	if len(a) == 0 {
-		t.Fatal("empty snapshot")
+			noisy.admitted, noisy.offered)
 	}
 }
 
 func TestTenancyRenderAndCheckErrors(t *testing.T) {
-	rows := []TenancyRow{{
-		Mode:       engine.ModeWorkerSP,
-		Tenants:    []TenantOutcome{{Tenant: "tenant-00", Offered: 100, Goodput: 50}},
-		RefGoodput: 100,
-		AggGoodput: 50,
+	tn := tenantOutcome{tenant: "tenant-00"}
+	tn.offered, tn.goodput = 100, 50
+	rows := []tenancyRow{{
+		mode:       engine.ModeWorkerSP,
+		tenants:    []tenantOutcome{tn},
+		refGoodput: 100,
+		aggGoodput: 50,
 	}}
-	if err := CheckTenancy(rows, 0.9, 0.1); err == nil {
+	if err := checkTenancy(rows); err == nil {
 		t.Fatal("starved tenant passed the gate")
 	}
-	rows[0].Tenants[0].Goodput = 95
-	rows[0].AggGoodput = 95
-	rows[0].RefGoodput = 200
-	if err := CheckTenancy(rows, 0.9, 0.1); err == nil {
+	rows[0].tenants[0].goodput = 95
+	rows[0].aggGoodput = 95
+	rows[0].refGoodput = 200
+	if err := checkTenancy(rows); err == nil {
 		t.Fatal("aggregate drift passed the gate")
 	}
-	rows[0].RefGoodput = 100
-	if err := CheckTenancy(rows, 0.9, 0.1); err != nil {
+	rows[0].refGoodput = 100
+	if err := checkTenancy(rows); err != nil {
 		t.Fatalf("healthy row tripped the gate: %v", err)
 	}
-	if tbl := RenderTenancy(rows); tbl == nil {
-		t.Fatal("RenderTenancy returned nil")
+	if tbl := renderTenancy(rows); tbl == nil {
+		t.Fatal("renderTenancy returned nil")
 	}
+}
+
+// TestTenancySameSeedSnapshotsIdentical reruns the registered tenants
+// scenario and requires byte-identical Reports, snapshots included.
+func TestTenancySameSeedSnapshotsIdentical(t *testing.T) {
+	requireDeterministic(t, "tenants")
 }
