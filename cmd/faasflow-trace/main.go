@@ -10,11 +10,11 @@
 //	faasflow-trace util -bench Gen -n 20 -snapshot run.json
 //	faasflow-trace explain -bench Gen -n 200 # causal what-if ranking
 //	faasflow-trace diff old.json new.json    # exit 1 on regression
-//	faasflow-trace bench diff BENCH_0.json BENCH_1.json  # perf trajectory gate
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -25,7 +25,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/network"
 	"repro/internal/obs"
-	"repro/internal/perf"
 	"repro/internal/trace"
 	"repro/internal/whatif"
 	"repro/internal/workloads"
@@ -51,15 +50,27 @@ func main() {
 		err = cmdExplain(os.Args[2:])
 	case "diff":
 		err = cmdDiff(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	default:
 		usage()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faasflow-trace:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
+}
+
+// usageError is an invalid command line; main exits 2 on it.
+type usageError struct{ error }
+
+// positiveN rejects an invocation count below 1 before anything runs.
+func positiveN(n int) error {
+	if n < 1 {
+		return usageError{fmt.Errorf("-n must be at least 1, got %d", n)}
+	}
+	return nil
 }
 
 func usage() {
@@ -73,8 +84,7 @@ func usage() {
   faasflow-trace explain [-bench NAME] [-mode worker|master] [-faastore] [-n N]
                         [-warmup K] [-tol FRAC] [-sweep OUT.json] [-json] [-gate]
                         [-fastpath]
-  faasflow-trace diff   [-noise FRAC] [-floor DUR] [-json] OLD.json NEW.json
-  faasflow-trace bench diff [-tol-scale X] [-verbose] [-json] OLD_BENCH.json NEW_BENCH.json`)
+  faasflow-trace diff   [-noise FRAC] [-floor DUR] [-json] OLD.json NEW.json`)
 	os.Exit(2)
 }
 
@@ -134,6 +144,9 @@ func cmdRun(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := positiveN(*n); err != nil {
+		return err
+	}
 	if *file == "" {
 		return fmt.Errorf("missing -file")
 	}
@@ -181,6 +194,9 @@ func cmdReport(args []string) error {
 	n := fs.Int("n", 20, "closed-loop invocations per pattern")
 	jsonOut := fs.Bool("json", false, "emit the attribution as JSON instead of tables")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := positiveN(*n); err != nil {
 		return err
 	}
 	var b *workloads.Benchmark
@@ -271,6 +287,9 @@ func cmdUtil(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := positiveN(*n); err != nil {
+		return err
+	}
 	if *bench == "" {
 		return fmt.Errorf("missing -bench")
 	}
@@ -346,6 +365,9 @@ func cmdExplain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := positiveN(*n); err != nil {
+		return err
+	}
 	b := workloads.ByName(*bench)
 	if b == nil {
 		return fmt.Errorf("unknown benchmark %q", *bench)
@@ -391,58 +413,6 @@ func cmdExplain(args []string) error {
 	}
 	if *gate && ex.Discrepancies > 0 {
 		return fmt.Errorf("%d dimension(s) failed the predicted-vs-measured gate", ex.Discrepancies)
-	}
-	return nil
-}
-
-// cmdBench works with BENCH_<seq>.json performance snapshots (written by
-// faasflow-experiments -benchjson). Its diff sub-subcommand mirrors the
-// flight-recorder differ but gates each metric with the tolerance baked
-// into the baseline snapshot — generous on host timing, tight on
-// deterministic domain figures — exiting non-zero on regressions.
-func cmdBench(args []string) error {
-	if len(args) < 1 || args[0] != "diff" {
-		return fmt.Errorf("usage: faasflow-trace bench diff [-tol-scale X] [-verbose] [-json] OLD.json NEW.json")
-	}
-	fs := flag.NewFlagSet("bench diff", flag.ExitOnError)
-	tolScale := fs.Float64("tol-scale", 1, "multiply every metric's tolerance (CI smoke uses 2)")
-	verbose := fs.Bool("verbose", false, "print every compared metric, not just flagged ones")
-	jsonOut := fs.Bool("json", false, "emit the diff as JSON instead of a table")
-	if err := fs.Parse(args[1:]); err != nil {
-		return err
-	}
-	if fs.NArg() != 2 {
-		return fmt.Errorf("want exactly two BENCH files, got %d", fs.NArg())
-	}
-	load := func(path string) (*perf.BenchSnapshot, error) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return perf.ParseBench(data)
-	}
-	oldS, err := load(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	newS, err := load(fs.Arg(1))
-	if err != nil {
-		return err
-	}
-	res := perf.DiffBench(oldS, newS, *tolScale)
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", " ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	} else if *verbose {
-		fmt.Print(res.VerboseString())
-	} else {
-		fmt.Print(res.String())
-	}
-	if res.Regressions > 0 {
-		return fmt.Errorf("%d perf regression(s) detected", res.Regressions)
 	}
 	return nil
 }

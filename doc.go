@@ -3,8 +3,8 @@
 // The public API lives in repro/faasflow; the substrates (simulation
 // kernel, network fabric, cluster/container model, storage, scheduler,
 // engines, workloads, experiment harness) live under repro/internal.
-// bench_test.go in this directory holds one benchmark per paper table and
-// figure; run them with:
+// Every paper table and figure is an entry of the harness's scenario
+// registry; regenerate them with:
 //
-//	go test -bench=Fig -benchmem .
+//	go run ./cmd/faasflow-experiments -run all
 package repro

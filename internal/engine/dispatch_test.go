@@ -1,4 +1,4 @@
-package perf
+package engine_test
 
 import (
 	"runtime"
@@ -7,20 +7,57 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/harness"
+	"repro/internal/obs"
+	"repro/internal/workloads"
 )
 
 // Self-overhead accounting: the observability layer must be close to free
 // when nobody is listening. Two gates below — an allocation gate (exact,
 // always on) and a timing gate (skipped under -race) — both over the full
-// engine-dispatch path, where every obs publish site sits.
+// engine-dispatch path, where every obs publish site sits. This is an
+// external test package so it can build the paper's testbed.
 
-// dispatchOnce runs one warmed deployment through a single Genome(10)
-// invocation; the returned closure is the unit both gates measure.
-func dispatchOnce(t testing.TB, om ObsMode) func() {
-	tb, d, err := dispatchBed(engine.ModeWorkerSP, om)
+// obsMode selects how much of the observability layer a dispatch run
+// attaches.
+type obsMode int
+
+const (
+	// obsOff runs with no bus at all: publishes are a nil-pointer check.
+	obsOff obsMode = iota
+	// obsIdle attaches a bus with no subscriber: publishes are guarded by
+	// Active() and must cost (and allocate) nothing.
+	obsIdle
+	// obsOn attaches a metrics Collector (the gateway's /metrics path), so
+	// every event is built, published, and folded into the registry.
+	obsOn
+)
+
+// dispatchBed builds the paper's 8-node testbed with a deployed
+// Genome(10) workflow and the requested observability attachment.
+func dispatchBed(t testing.TB, mode engine.Mode, om obsMode) (*harness.Testbed, *engine.Deployment) {
+	tb := harness.NewTestbed(harness.ClusterSpec{FaaStore: true})
+	switch om {
+	case obsIdle:
+		tb.AttachBus(obs.NewBus())
+	case obsOn:
+		bus := obs.NewBus()
+		c := obs.NewCollector(obs.NewRegistry())
+		bus.Subscribe(c.Handle)
+		bus.Subscribe(obs.NewLatencyTracker(c))
+		tb.AttachBus(bus)
+	}
+	d, err := tb.Deploy(workloads.Genome(10), engine.Options{Mode: mode, Data: engine.DataStore})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tb, d.Engine
+}
+
+// dispatchOnce runs one warmed deployment through a single Genome(10)
+// invocation; the returned closure is the unit both gates measure.
+func dispatchOnce(t testing.TB, om obsMode) func() {
+	tb, d := dispatchBed(t, engine.ModeWorkerSP, om)
 	for i := 0; i < 3; i++ {
 		d.Invoke(nil)
 		tb.Env.Run()
@@ -38,8 +75,8 @@ func dispatchOnce(t testing.TB, om ObsMode) func() {
 // allocation, guard or not).
 func TestDispatchObsIdleAddsNoAllocs(t *testing.T) {
 	const runs = 30
-	off := testing.AllocsPerRun(runs, dispatchOnce(t, ObsOff))
-	idle := testing.AllocsPerRun(runs, dispatchOnce(t, ObsIdle))
+	off := testing.AllocsPerRun(runs, dispatchOnce(t, obsOff))
+	idle := testing.AllocsPerRun(runs, dispatchOnce(t, obsIdle))
 	if delta := idle - off; delta >= 1 {
 		t.Fatalf("obs-idle dispatch allocates %.1f more than obs-off (%.1f vs %.1f) — an unguarded publish site is boxing events nobody reads",
 			delta, idle, off)
@@ -62,7 +99,7 @@ func TestDispatchObsIdleOverheadUnder10Pct(t *testing.T) {
 	}
 	const pairs = 41
 	const batch = 10
-	off, idle := dispatchOnce(t, ObsOff), dispatchOnce(t, ObsIdle)
+	off, idle := dispatchOnce(t, obsOff), dispatchOnce(t, obsIdle)
 	timed := func(once func()) time.Duration {
 		runtime.GC()
 		start := time.Now()
@@ -97,8 +134,9 @@ func TestDispatchObsIdleOverheadUnder10Pct(t *testing.T) {
 
 // TestDispatchObsOnCompletes pins the collecting configuration: a full
 // Collector+LatencyTracker attachment must survive dispatch (its cost is
-// tracked in BENCH snapshots, not hard-gated here — collection is opt-in).
+// measured by BenchmarkDispatchObsOn, not hard-gated here — collection is
+// opt-in).
 func TestDispatchObsOnCompletes(t *testing.T) {
-	once := dispatchOnce(t, ObsOn)
+	once := dispatchOnce(t, obsOn)
 	once()
 }

@@ -1,6 +1,6 @@
 //go:build !race
 
-package perf
+package engine_test
 
 // raceEnabled reports whether the race detector is compiled in. Timing
 // assertions are skipped under -race: the detector's per-access overhead

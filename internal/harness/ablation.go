@@ -6,94 +6,77 @@ import (
 
 	"repro/internal/dag"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/workloads"
 )
 
-// AblationGrouping isolates the Graph Scheduler's contribution: the same
-// benchmark under WorkerSP + FaaStore, once with Algorithm 1 grouping and
-// once with hash partitioning, returning mean closed-loop latencies.
-func AblationGrouping(bench string, invocations int) (algo, hash time.Duration, err error) {
+// closedLoopMean deploys bench (transformed by shape, when set) on a
+// fresh testbed for sys at bw MB/s of storage bandwidth — hash-placed when
+// hashed — applies adjust, and returns the mean latency of n closed-loop
+// invocations after one warm-up.
+func closedLoopMean(sys System, bw float64, bench string, shape func(*workloads.Benchmark) (*workloads.Benchmark, error),
+	hashed bool, adjust func(*Testbed), n int) (time.Duration, error) {
 	b := workloads.ByName(bench)
 	if b == nil {
-		return 0, 0, fmt.Errorf("unknown benchmark %q", bench)
+		return 0, fmt.Errorf("unknown benchmark %q", bench)
 	}
-	opts := engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataStore}
-
-	tb := newSystemTestbed(FaaSFlowFaaStore, network.MBps(50))
-	d, err := tb.Deploy(b, opts)
+	var err error
+	if shape != nil {
+		if b, err = shape(b); err != nil {
+			return 0, err
+		}
+	}
+	tb := newSystemTestbed(sys, network.MBps(bw))
+	deploy := tb.Deploy
+	if hashed {
+		deploy = tb.DeployHashed
+	}
+	d, err := deploy(b, engine.Options{Mode: sys.mode(), Data: engine.DataStore})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	algo = ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean()
-
-	tb2 := newSystemTestbed(FaaSFlowFaaStore, network.MBps(50))
-	d2, err := tb2.DeployHashed(workloads.ByName(bench), opts)
-	if err != nil {
-		return 0, 0, err
+	if adjust != nil {
+		adjust(tb)
 	}
-	hash = ClosedLoop(tb2.Env, d2.Engine, 1, invocations).Mean()
-	return algo, hash, nil
+	return ClosedLoop(tb.Env, d.Engine, 1, n).Mean(), nil
 }
 
-// AblationNetwork isolates the bandwidth-contention model: the same
+// ablationGrouping isolates the Graph Scheduler's contribution: the same
+// benchmark under WorkerSP + FaaStore, once with Algorithm 1 grouping and
+// once with hash partitioning, returning mean closed-loop latencies.
+func ablationGrouping(bench string, invocations int) (algo, hash time.Duration, err error) {
+	if algo, err = closedLoopMean(FaaSFlowFaaStore, 50, bench, nil, false, nil, invocations); err != nil {
+		return 0, 0, err
+	}
+	hash, err = closedLoopMean(FaaSFlowFaaStore, 50, bench, nil, true, nil, invocations)
+	return algo, hash, err
+}
+
+// ablationNetwork isolates the bandwidth-contention model: the same
 // benchmark under HyperFlow once on the paper's 50 MB/s shared storage
 // link and once on an effectively infinite link (contention-free, pure
 // latency). The gap is the share of the baseline's pain that comes from
 // modeling bandwidth at all — the justification for the fair-share fabric.
-func AblationNetwork(bench string, invocations int) (shared, infinite time.Duration, err error) {
-	b := workloads.ByName(bench)
-	if b == nil {
-		return 0, 0, fmt.Errorf("unknown benchmark %q", bench)
-	}
-	opts := engine.Options{Mode: engine.ModeMasterSP, Data: engine.DataStore}
-
-	tb := newSystemTestbed(HyperFlow, network.MBps(50))
-	d, err := tb.Deploy(b, opts)
-	if err != nil {
+func ablationNetwork(bench string, invocations int) (shared, infinite time.Duration, err error) {
+	if shared, err = closedLoopMean(HyperFlow, 50, bench, nil, false, nil, invocations); err != nil {
 		return 0, 0, err
 	}
-	shared = ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean()
-
-	tb2 := newSystemTestbed(HyperFlow, network.MBps(1e6))
-	d2, err := tb2.Deploy(workloads.ByName(bench), opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	infinite = ClosedLoop(tb2.Env, d2.Engine, 1, invocations).Mean()
-	return shared, infinite, nil
+	infinite, err = closedLoopMean(HyperFlow, 1e6, bench, nil, false, nil, invocations)
+	return shared, infinite, err
 }
 
-// SequentialVsDAG contrasts a benchmark's DAG execution with the
+// sequentialVsDAG contrasts a benchmark's DAG execution with the
 // linearized function sequence most vendors support (paper §2.1: "Most
 // cloud vendors only support sequential workflow, which is a much simpler
 // execution model"). The sequence chains the same tasks in topological
 // order, so all parallelism is lost; the gap is what DAG support buys.
-func SequentialVsDAG(bench string, invocations int) (dagMean, seqMean time.Duration, err error) {
-	b := workloads.ByName(bench)
-	if b == nil {
-		return 0, 0, fmt.Errorf("unknown benchmark %q", bench)
-	}
-	opts := engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataStore}
-
-	tb := newSystemTestbed(FaaSFlowFaaStore, network.MBps(50))
-	d, err := tb.Deploy(b, opts)
-	if err != nil {
+func sequentialVsDAG(bench string, invocations int) (dagMean, seqMean time.Duration, err error) {
+	if dagMean, err = closedLoopMean(FaaSFlowFaaStore, 50, bench, nil, false, nil, invocations); err != nil {
 		return 0, 0, err
 	}
-	dagMean = ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean()
-
-	seq, err := linearize(workloads.ByName(bench))
-	if err != nil {
-		return 0, 0, err
-	}
-	tb2 := newSystemTestbed(FaaSFlowFaaStore, network.MBps(50))
-	d2, err := tb2.Deploy(seq, opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	seqMean = ClosedLoop(tb2.Env, d2.Engine, 1, invocations).Mean()
-	return dagMean, seqMean, nil
+	seqMean, err = closedLoopMean(FaaSFlowFaaStore, 50, bench, linearize, false, nil, invocations)
+	return dagMean, seqMean, err
 }
 
 // linearize rebuilds a benchmark as a topological-order chain of the same
@@ -133,9 +116,9 @@ func linearize(b *workloads.Benchmark) (*workloads.Benchmark, error) {
 	return seq, seq.Validate()
 }
 
-// QuotaAblation holds the mean latency of a benchmark under three FaaStore
+// quotaAblation holds the mean latency of a benchmark under three FaaStore
 // quota policies.
-type QuotaAblation struct {
+type quotaAblation struct {
 	// Adaptive is the paper's reclamation quota (Equations 1-2).
 	Adaptive time.Duration
 	// Tiny caps every worker's in-memory store at 1 MB, forcing nearly all
@@ -146,41 +129,77 @@ type QuotaAblation struct {
 	Unlimited time.Duration
 }
 
-// AblationQuota isolates the quota policy's contribution under WorkerSP.
-func AblationQuota(bench string, invocations int) (QuotaAblation, error) {
-	run := func(adjust func(*Testbed)) (time.Duration, error) {
-		b := workloads.ByName(bench)
-		if b == nil {
-			return 0, fmt.Errorf("unknown benchmark %q", bench)
+// ablationQuota isolates the quota policy's contribution under WorkerSP.
+func ablationQuota(bench string, invocations int) (quotaAblation, error) {
+	withQuota := func(bytes int64) func(*Testbed) {
+		return func(tb *Testbed) {
+			for _, m := range tb.Mems {
+				m.SetQuota(bytes)
+			}
 		}
-		tb := newSystemTestbed(FaaSFlowFaaStore, network.MBps(50))
-		d, err := tb.Deploy(b, engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataStore})
-		if err != nil {
-			return 0, err
-		}
-		if adjust != nil {
-			adjust(tb)
-		}
-		return ClosedLoop(tb.Env, d.Engine, 1, invocations).Mean(), nil
 	}
-	var out QuotaAblation
+	var out quotaAblation
 	var err error
-	if out.Adaptive, err = run(nil); err != nil {
-		return out, err
-	}
-	if out.Tiny, err = run(func(tb *Testbed) {
-		for _, m := range tb.Mems {
-			m.SetQuota(1 << 20)
+	for _, v := range []struct {
+		into   *time.Duration
+		adjust func(*Testbed)
+	}{{&out.Adaptive, nil}, {&out.Tiny, withQuota(1 << 20)}, {&out.Unlimited, withQuota(1 << 50)}} {
+		if *v.into, err = closedLoopMean(FaaSFlowFaaStore, 50, bench, nil, false, v.adjust, invocations); err != nil {
+			return out, err
 		}
-	}); err != nil {
-		return out, err
-	}
-	if out.Unlimited, err = run(func(tb *Testbed) {
-		for _, m := range tb.Mems {
-			m.SetQuota(1 << 50)
-		}
-	}); err != nil {
-		return out, err
 	}
 	return out, nil
+}
+
+// ablationsReport runs the four design-choice ablations DESIGN.md calls
+// out, Vid at n/10 and Cyc at n/20 invocations, and gates each on the
+// direction EXPERIMENTS.md reports.
+func ablationsReport(n int) (Report, error) {
+	inv := scaled(n, 20, 1)
+	algo, hash, err := ablationGrouping("Vid", scaled(n, 10, 1))
+	if err != nil {
+		return Report{}, err
+	}
+	shared, free, err := ablationNetwork("Cyc", inv)
+	if err != nil {
+		return Report{}, err
+	}
+	dagMean, seqMean, err := sequentialVsDAG("Cyc", inv)
+	if err != nil {
+		return Report{}, err
+	}
+	quota, err := ablationQuota("Cyc", inv)
+	if err != nil {
+		return Report{}, err
+	}
+	t := metrics.NewTable("ablation", "bench", "variant", "mean latency")
+	for _, r := range []struct {
+		ablation, bench, variant string
+		mean                     time.Duration
+	}{
+		{"grouping", "Vid", "Algorithm 1", algo},
+		{"grouping", "Vid", "hash partition", hash},
+		{"network", "Cyc", "shared 50MB/s link", shared},
+		{"network", "Cyc", "contention-free link", free},
+		{"execution", "Cyc", "DAG", dagMean},
+		{"execution", "Cyc", "linearized sequence", seqMean},
+		{"quota", "Cyc", "adaptive", quota.Adaptive},
+		{"quota", "Cyc", "tiny (1MB)", quota.Tiny},
+		{"quota", "Cyc", "unlimited", quota.Unlimited},
+	} {
+		t.AddRow(r.ablation, r.bench, r.variant, metrics.Seconds(r.mean))
+	}
+	rep := Report{Table: t}
+	switch {
+	case algo >= hash:
+		rep.Gate = fmt.Errorf("ablations: Algorithm 1 (%s) does not beat hash placement (%s)", metrics.Seconds(algo), metrics.Seconds(hash))
+	case free >= shared:
+		rep.Gate = fmt.Errorf("ablations: the contention-free link (%s) does not beat the shared one (%s)", metrics.Seconds(free), metrics.Seconds(shared))
+	case dagMean >= seqMean:
+		rep.Gate = fmt.Errorf("ablations: the DAG (%s) does not beat the linearized sequence (%s)", metrics.Seconds(dagMean), metrics.Seconds(seqMean))
+	case quota.Adaptive > quota.Unlimited || quota.Adaptive >= quota.Tiny:
+		rep.Gate = fmt.Errorf("ablations: adaptive quota %s against unlimited %s and tiny %s",
+			metrics.Seconds(quota.Adaptive), metrics.Seconds(quota.Unlimited), metrics.Seconds(quota.Tiny))
+	}
+	return rep, nil
 }

@@ -40,7 +40,7 @@ type chaosRow struct {
 	snapshot *obs.Snapshot
 }
 
-func chaosReport() (Report, error) {
+func chaosReport(int) (Report, error) {
 	// The registered run kills only the node: no engine crash.
 	rows, err := sweep([]time.Duration{0}, chaosOne)
 	if err != nil {

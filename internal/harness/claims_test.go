@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-func sweepRows() []TailRow {
+func sweepRows() []tailRow {
 	// Synthetic sweep shaped like Fig 12's Vid panel: the baseline improves
 	// with bandwidth; the target is flat and matches the baseline's 100.
-	mk := func(sys System, bw float64, p99 time.Duration) TailRow {
-		return TailRow{Bench: "Vid", Sys: sys, StorageMB: bw, PerMinute: 6, P99: p99}
+	mk := func(sys System, bw float64, p99 time.Duration) tailRow {
+		return tailRow{Bench: "Vid", Sys: sys, StorageMB: bw, PerMinute: 6, P99: p99}
 	}
-	return []TailRow{
+	return []tailRow{
 		mk(HyperFlow, 25, 8*time.Second),
 		mk(HyperFlow, 50, 6*time.Second),
 		mk(HyperFlow, 75, 5*time.Second),
@@ -24,7 +24,7 @@ func sweepRows() []TailRow {
 }
 
 func TestBandwidthMultiplier(t *testing.T) {
-	m, err := BandwidthMultiplier(sweepRows(), "Vid", HyperFlow, FaaSFlowFaaStore)
+	m, err := bandwidthMultiplier(sweepRows(), "Vid", HyperFlow, FaaSFlowFaaStore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestBandwidthMultiplierBaselineNeverMatches(t *testing.T) {
 			rows[i].P99 = time.Second
 		}
 	}
-	m, err := BandwidthMultiplier(rows, "Vid", HyperFlow, FaaSFlowFaaStore)
+	m, err := bandwidthMultiplier(rows, "Vid", HyperFlow, FaaSFlowFaaStore)
 	if err == nil {
 		t.Fatal("expected out-of-range error")
 	}
@@ -51,45 +51,45 @@ func TestBandwidthMultiplierBaselineNeverMatches(t *testing.T) {
 }
 
 func TestBandwidthMultiplierMissingBench(t *testing.T) {
-	if _, err := BandwidthMultiplier(nil, "Vid", HyperFlow, FaaSFlowFaaStore); err == nil {
+	if _, err := bandwidthMultiplier(nil, "Vid", HyperFlow, FaaSFlowFaaStore); err == nil {
 		t.Fatal("empty rows accepted")
 	}
 }
 
 func TestThroughputDegradation(t *testing.T) {
 	rows := sweepRows()
-	d, err := ThroughputDegradation(rows, "Vid", HyperFlow)
+	d, err := throughputDegradation(rows, "Vid", HyperFlow)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != 1.0 { // 8s at 25 vs 4s at 100 -> +100%
 		t.Fatalf("HyperFlow degradation = %v, want 1.0", d)
 	}
-	d, err = ThroughputDegradation(rows, "Vid", FaaSFlowFaaStore)
+	d, err = throughputDegradation(rows, "Vid", FaaSFlowFaaStore)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d != 0 {
 		t.Fatalf("flat target degradation = %v, want 0", d)
 	}
-	if _, err := ThroughputDegradation(rows, "Gen", HyperFlow); err == nil {
+	if _, err := throughputDegradation(rows, "Gen", HyperFlow); err == nil {
 		t.Fatal("missing bench accepted")
 	}
 }
 
 func TestOverheadReductionFromRows(t *testing.T) {
-	rows := []OverheadRow{
+	rows := []overheadRow{
 		{Bench: "Cyc", Scientific: true, Overhead: map[System]time.Duration{
 			HyperFlow: 800 * time.Millisecond, FaaSFlow: 200 * time.Millisecond}},
 		{Bench: "Vid", Scientific: false, Overhead: map[System]time.Duration{
 			HyperFlow: 200 * time.Millisecond, FaaSFlow: 50 * time.Millisecond}},
 	}
-	got := OverheadReduction(rows, HyperFlow, FaaSFlow)
+	got := overheadReduction(rows, HyperFlow, FaaSFlow)
 	want := 1 - (0.2+0.05)/(0.8+0.2)
 	if diff := got - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("reduction = %v, want %v", got, want)
 	}
-	if OverheadReduction(nil, HyperFlow, FaaSFlow) != 0 {
+	if overheadReduction(nil, HyperFlow, FaaSFlow) != 0 {
 		t.Fatal("empty rows should give 0")
 	}
 }
@@ -97,12 +97,12 @@ func TestOverheadReductionFromRows(t *testing.T) {
 // End-to-end: the measured sweep must reproduce the paper's multiplier
 // claim for Vid (>= 2x; the paper reports up to 4x).
 func TestMeasuredBandwidthMultiplier(t *testing.T) {
-	rows, err := TailLatency([]string{"Vid"}, []System{HyperFlow, FaaSFlowFaaStore},
+	rows, err := tailLatency([]string{"Vid"}, []System{HyperFlow, FaaSFlowFaaStore},
 		[]float64{25, 50, 75, 100}, []float64{6}, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := BandwidthMultiplier(rows, "Vid", HyperFlow, FaaSFlowFaaStore)
+	m, err := bandwidthMultiplier(rows, "Vid", HyperFlow, FaaSFlowFaaStore)
 	if m < 2 {
 		t.Fatalf("measured multiplier = %.1f (err=%v), want >= 2 (paper: up to 4x)", m, err)
 	}

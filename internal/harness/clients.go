@@ -16,29 +16,36 @@ const Timeout = 60 * time.Second
 // the previous one's execution state has been received (§2.3) — and
 // records each end-to-end latency. warmup invocations run first without
 // being recorded, absorbing cold starts exactly like the paper's
-// measurement methodology. The environment is run to completion.
+// measurement methodology. The environment is run to completion. A
+// negative warmup or n counts as zero.
 func ClosedLoop(env *sim.Env, d *engine.Deployment, warmup, n int) *metrics.Recorder {
 	rec := &metrics.Recorder{}
-	remainingWarm, remaining := warmup, n
+	startClient(d, warmup, n, rec)
+	env.Run()
+	return rec
+}
+
+// startClient starts one closed-loop client on d: warmup unrecorded
+// invocations, then n recorded into rec, each issued when the previous
+// one completes.
+func startClient(d *engine.Deployment, warmup, n int, rec *metrics.Recorder) {
 	var next func()
 	next = func() {
-		if remainingWarm > 0 {
-			remainingWarm--
+		if warmup > 0 {
+			warmup--
 			d.Invoke(func(engine.Result) { next() })
 			return
 		}
-		if remaining == 0 {
+		if n <= 0 {
 			return
 		}
-		remaining--
+		n--
 		d.Invoke(func(r engine.Result) {
 			rec.Add(r.Latency())
 			next()
 		})
 	}
 	next()
-	env.Run()
-	return rec
 }
 
 // OpenLoop sends n invocations at a fixed rate (invocations per minute)
@@ -57,9 +64,9 @@ func OpenLoopPoisson(env *sim.Env, d *engine.Deployment, perMinute float64, warm
 
 // Arrivals lays out n open-loop arrival offsets at perMinute: a fixed
 // interval, or — with poisson — exponential inter-arrival times drawn
-// deterministically from seed.
+// deterministically from seed. A negative n lays out none.
 func Arrivals(perMinute float64, n int, poisson bool, seed uint64) []time.Duration {
-	out := make([]time.Duration, n)
+	out := make([]time.Duration, max(n, 0))
 	if !poisson {
 		interval := time.Duration(60 / perMinute * float64(time.Second))
 		for i := range out {
@@ -102,27 +109,8 @@ func openLoop(env *sim.Env, d *engine.Deployment, warmup int, arrivals []time.Du
 func CoRun(env *sim.Env, ds []*engine.Deployment, warmup, n int) []*metrics.Recorder {
 	recs := make([]*metrics.Recorder, len(ds))
 	for i, d := range ds {
-		rec := &metrics.Recorder{}
-		recs[i] = rec
-		d := d
-		remainingWarm, remaining := warmup, n
-		var next func()
-		next = func() {
-			if remainingWarm > 0 {
-				remainingWarm--
-				d.Invoke(func(engine.Result) { next() })
-				return
-			}
-			if remaining == 0 {
-				return
-			}
-			remaining--
-			d.Invoke(func(r engine.Result) {
-				rec.Add(r.Latency())
-				next()
-			})
-		}
-		next()
+		recs[i] = &metrics.Recorder{}
+		startClient(d, warmup, n, recs[i])
 	}
 	env.Run()
 	return recs

@@ -48,7 +48,7 @@ type durableRow struct {
 	snapshot *obs.Snapshot
 }
 
-func durableReport() (Report, error) {
+func durableReport(int) (Report, error) {
 	rows, err := sweep(durableScenarios, durableOne)
 	if err != nil {
 		return Report{}, err

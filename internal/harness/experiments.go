@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 
@@ -67,11 +68,15 @@ func (tb *Testbed) deploySystem(sys System, bench *workloads.Benchmark, data eng
 	return tb.Deploy(bench, opts)
 }
 
+// scaled derives a figure's invocation count from the -n scale: n/div,
+// but never below floor (at least 1), so no size reaches zero.
+func scaled(n, div, floor int) int { return max(n/div, floor) }
+
 // ---------------------------------------------------------------------------
 // Figures 4 and 11: scheduling overhead.
 
-// OverheadRow is one benchmark's scheduling-overhead measurement.
-type OverheadRow struct {
+// overheadRow is one benchmark's scheduling-overhead measurement.
+type overheadRow struct {
 	Bench      string
 	Scientific bool
 	// Overhead per system: mean end-to-end latency minus critical-path
@@ -80,12 +85,12 @@ type OverheadRow struct {
 	E2E      map[System]time.Duration
 }
 
-// SchedulingOverhead reproduces Fig 4 (HyperFlow only) and Fig 11 (both
+// schedulingOverhead reproduces Fig 4 (HyperFlow only) and Fig 11 (both
 // systems): closed-loop invocations with data shipping disabled.
-func SchedulingOverhead(systems []System, invocations int) ([]OverheadRow, error) {
-	var rows []OverheadRow
+func schedulingOverhead(systems []System, invocations int) ([]overheadRow, error) {
+	var rows []overheadRow
 	for _, bench := range workloads.All() {
-		row := OverheadRow{
+		row := overheadRow{
 			Bench:      bench.Name,
 			Scientific: bench.Scientific,
 			Overhead:   map[System]time.Duration{},
@@ -108,9 +113,9 @@ func SchedulingOverhead(systems []System, invocations int) ([]OverheadRow, error
 	return rows, nil
 }
 
-// OverheadAverages summarizes rows the way the paper quotes them: mean
+// overheadAverages summarizes rows the way the paper quotes them: mean
 // overhead for scientific workflows and for real-world applications.
-func OverheadAverages(rows []OverheadRow, sys System) (sci, apps time.Duration) {
+func overheadAverages(rows []overheadRow, sys System) (sci, apps time.Duration) {
 	var sciSum, appSum time.Duration
 	var sciN, appN int
 	for _, r := range rows {
@@ -131,21 +136,72 @@ func OverheadAverages(rows []OverheadRow, sys System) (sci, apps time.Duration) 
 	return sci, apps
 }
 
+func fig4Report(n int) (Report, error) {
+	systems := []System{HyperFlow}
+	rows, err := schedulingOverhead(systems, scaled(n, 1, 1))
+	if err != nil {
+		return Report{}, err
+	}
+	sci, apps := overheadAverages(rows, HyperFlow)
+	rep := Report{Table: renderOverhead(rows, systems), Notes: []string{
+		fmt.Sprintf("averages: scientific %s, real-world %s (paper: 712ms / 181.3ms)", metrics.Millis(sci), metrics.Millis(apps)),
+	}}
+	rep.addChart("fig4", chartOverhead(rows, systems))
+	if sci <= apps {
+		rep.Gate = fmt.Errorf("fig4: scientific overhead %s is not above the apps' %s", metrics.Millis(sci), metrics.Millis(apps))
+	}
+	return rep, nil
+}
+
+func fig11Report(n int) (Report, error) {
+	systems := []System{HyperFlow, FaaSFlow}
+	rows, err := schedulingOverhead(systems, scaled(n, 1, 1))
+	if err != nil {
+		return Report{}, err
+	}
+	hSci, hApp := overheadAverages(rows, HyperFlow)
+	fSci, fApp := overheadAverages(rows, FaaSFlow)
+	red := overheadReduction(rows, HyperFlow, FaaSFlow)
+	rep := Report{Table: renderOverhead(rows, systems), Notes: []string{
+		fmt.Sprintf("averages: HyperFlow %s/%s, FaaSFlow %s/%s (paper: 712/181.3 -> 141.9/51.4, 74.6%% cut)",
+			metrics.Millis(hSci), metrics.Millis(hApp), metrics.Millis(fSci), metrics.Millis(fApp)),
+		"measured average reduction: " + metrics.Pct(red),
+	}}
+	rep.addChart("fig11", chartOverhead(rows, systems))
+	for _, r := range rows {
+		if r.Overhead[FaaSFlow] >= r.Overhead[HyperFlow] {
+			rep.Gate = fmt.Errorf("fig11 %s: FaaSFlow overhead %s does not beat HyperFlow's %s",
+				r.Bench, metrics.Millis(r.Overhead[FaaSFlow]), metrics.Millis(r.Overhead[HyperFlow]))
+			return rep, nil
+		}
+	}
+	if math.Abs(red-paperReduction) > 0.10 {
+		rep.Gate = fmt.Errorf("fig11: mean reduction %s is more than 10 points from the paper's %s", metrics.Pct(red), metrics.Pct(paperReduction))
+	}
+	return rep, nil
+}
+
+// paperReduction is §5.2's mean scheduling-overhead cut.
+const paperReduction = 0.746
+
 // ---------------------------------------------------------------------------
 // Figure 5: data movement, monolithic vs FaaS.
 
-// MovementRow is one benchmark's per-invocation data movement.
-type MovementRow struct {
+// movementRow is one benchmark's per-invocation data movement.
+type movementRow struct {
 	Bench      string
 	Monolithic int64 // bytes moved by the monolithic deployment
 	FaaS       int64 // bytes measured through the remote store
 }
 
-// DataMovement reproduces Fig 5 by running one measured invocation per
+// amplification is the FaaS-to-monolithic byte ratio.
+func (r movementRow) amplification() float64 { return float64(r.FaaS) / float64(r.Monolithic) }
+
+// dataMovement reproduces Fig 5 by running one measured invocation per
 // benchmark through the database-only data path and reading the store's
 // byte counters.
-func DataMovement() ([]MovementRow, error) {
-	var rows []MovementRow
+func dataMovement() ([]movementRow, error) {
+	var rows []movementRow
 	for _, bench := range workloads.All() {
 		tb := newSystemTestbed(HyperFlow, network.MBps(200))
 		d, err := tb.deploySystem(HyperFlow, bench, engine.DataStore)
@@ -157,7 +213,7 @@ func DataMovement() ([]MovementRow, error) {
 		after := tb.Remote.Stats()
 		moved := (after.BytesPut - before.BytesPut) / 2 // warmup also counted
 		moved += (after.BytesGot - before.BytesGot) / 2
-		rows = append(rows, MovementRow{
+		rows = append(rows, movementRow{
 			Bench:      bench.Name,
 			Monolithic: bench.MonolithicBytes,
 			FaaS:       moved,
@@ -166,31 +222,56 @@ func DataMovement() ([]MovementRow, error) {
 	return rows, nil
 }
 
+func fig5Report(int) (Report, error) {
+	rows, err := dataMovement()
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderMovement(rows), Notes: []string{
+		"paper quotes: Cyc 23.95MB -> 1182.3MB (39.5x network), Vid 4.23MB -> 96.82MB (22.9x)",
+	}}
+	rep.addChart("fig5", chartMovement(rows))
+	top := rows[0]
+	for _, r := range rows {
+		if r.FaaS <= r.Monolithic {
+			rep.Gate = fmt.Errorf("fig5 %s: FaaS moves %s, not more than monolithic %s", r.Bench, metrics.MBytes(r.FaaS), metrics.MBytes(r.Monolithic))
+			return rep, nil
+		}
+		if r.amplification() > top.amplification() {
+			top = r
+		}
+	}
+	if top.Bench != "Cyc" {
+		rep.Gate = fmt.Errorf("fig5: %s, not Cyc, has the largest amplification", top.Bench)
+	}
+	return rep, nil
+}
+
 // ---------------------------------------------------------------------------
 // Table 4: total data-movement latency over all edges.
 
-// TransferRow is one benchmark's Table 4 entry.
-type TransferRow struct {
+// transferRow is one benchmark's Table 4 entry.
+type transferRow struct {
 	Bench     string
 	HyperFlow time.Duration // per-invocation total transfer latency
 	FaaStore  time.Duration
 }
 
 // Reduction reports the fractional latency cut FaaSFlow-FaaStore achieves.
-func (r TransferRow) Reduction() float64 {
+func (r transferRow) Reduction() float64 {
 	if r.HyperFlow == 0 {
 		return 0
 	}
 	return 1 - float64(r.FaaStore)/float64(r.HyperFlow)
 }
 
-// TransferLatency reproduces Table 4: the summed latency of every edge's
+// transferLatency reproduces Table 4: the summed latency of every edge's
 // data movement per invocation, under both systems, at the testbed's
 // default 50 MB/s storage bandwidth (the §5.4 sweeps vary it).
-func TransferLatency(invocations int) ([]TransferRow, error) {
-	var rows []TransferRow
+func transferLatency(invocations int) ([]transferRow, error) {
+	var rows []transferRow
 	for _, bench := range workloads.All() {
-		row := TransferRow{Bench: bench.Name}
+		row := transferRow{Bench: bench.Name}
 		for _, sys := range []System{HyperFlow, FaaSFlowFaaStore} {
 			tb := newSystemTestbed(sys, network.MBps(50))
 			d, err := tb.deploySystem(sys, bench, engine.DataStore)
@@ -214,11 +295,31 @@ func TransferLatency(invocations int) ([]TransferRow, error) {
 	return rows, nil
 }
 
+func table4Report(n int) (Report, error) {
+	rows, err := transferLatency(scaled(n, 20, 3))
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderTransfer(rows), Notes: []string{
+		"paper: Cyc 204.2->10.28 (95%), Epi 2.23->0.69 (69%), Gen 29.26->22.17 (24%), Soy 10.06->9.53 (5.2%),",
+		"       Vid 4.02->1.03 (74%), IR 0.20->0.13 (35%), FP 1.29->0.49 (62%), WC 1.46->0.21 (70%)",
+	}}
+	rep.addChart("table4", chartTransfer(rows))
+	for _, r := range rows {
+		if r.Reduction() <= 0 {
+			rep.Gate = fmt.Errorf("table4 %s: FaaSFlow-FaaStore %s does not reduce HyperFlow's %s",
+				r.Bench, metrics.Seconds(r.FaaStore), metrics.Seconds(r.HyperFlow))
+			break
+		}
+	}
+	return rep, nil
+}
+
 // ---------------------------------------------------------------------------
 // Figures 12 and 13: tail latency and throughput under bandwidth limits.
 
-// TailRow is one (benchmark, system, bandwidth, rate) measurement.
-type TailRow struct {
+// tailRow is one (benchmark, system, bandwidth, rate) measurement.
+type tailRow struct {
 	Bench     string
 	Sys       System
 	StorageMB float64 // storage-node bandwidth in MB/s
@@ -227,12 +328,12 @@ type TailRow struct {
 	Timeouts  float64 // fraction of invocations at the 60 s clamp
 }
 
-// TailLatency measures open-loop p99 latency for the given benchmarks,
+// tailLatency measures open-loop p99 latency for the given benchmarks,
 // systems, bandwidths (MB/s) and rates (invocations/minute) — Fig 13 is
 // the 50 MB/s, 6/min column over all benchmarks; Fig 12 sweeps bandwidth
 // and rate for Gen and Vid.
-func TailLatency(benches []string, systems []System, bandwidthsMB []float64, rates []float64, invocations int) ([]TailRow, error) {
-	var rows []TailRow
+func tailLatency(benches []string, systems []System, bandwidthsMB []float64, rates []float64, invocations int) ([]tailRow, error) {
+	var rows []tailRow
 	for _, name := range benches {
 		bench := workloads.ByName(name)
 		if bench == nil {
@@ -247,7 +348,7 @@ func TailLatency(benches []string, systems []System, bandwidthsMB []float64, rat
 						return nil, fmt.Errorf("%s/%s: %w", name, sys, err)
 					}
 					rec := OpenLoop(tb.Env, d.Engine, rate, 1, invocations)
-					rows = append(rows, TailRow{
+					rows = append(rows, tailRow{
 						Bench:     name,
 						Sys:       sys,
 						StorageMB: bw,
@@ -262,11 +363,68 @@ func TailLatency(benches []string, systems []System, bandwidthsMB []float64, rat
 	return rows, nil
 }
 
+// tailSystems are the systems Figs 12 and 13 compare.
+var tailSystems = []System{HyperFlow, FaaSFlowFaaStore}
+
+func fig12Report(n int) (Report, error) {
+	rows, err := tailLatency([]string{"Gen", "Vid"}, tailSystems,
+		[]float64{25, 50, 75, 100}, []float64{2, 4, 6, 8}, scaled(n, 4, 1))
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderTail(rows), Notes: []string{
+		"paper claim: FaaSFlow-FaaStore @25/50MB/s matches HyperFlow @100/75MB/s (1.5x-4x bandwidth utilization)",
+	}, Gate: checkTail("fig12", rows)}
+	rep.addChart("fig12-gen", chartBandwidthSweep(rows, "Gen", 6))
+	rep.addChart("fig12-vid", chartBandwidthSweep(rows, "Vid", 6))
+	return rep, nil
+}
+
+func fig13Report(n int) (Report, error) {
+	rows, err := tailLatency([]string{"Cyc", "Epi", "Gen", "Soy", "Vid", "IR", "FP", "WC"}, tailSystems,
+		[]float64{50}, []float64{6}, scaled(n, 1, 1))
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderTail(rows), Notes: []string{
+		"paper: Cyc and Gen hit the 60s timeout under HyperFlow-serverless; FaaSFlow-FaaStore cuts their p99 by 75.2%, others by 23.3%",
+	}, Gate: checkTail("fig13", rows)}
+	rep.addChart("fig13", chartTail(rows))
+	for _, r := range rows {
+		if rep.Gate == nil && r.Bench == "Cyc" && r.Sys == HyperFlow && r.Timeouts == 0 {
+			rep.Gate = fmt.Errorf("fig13: Cyc does not time out under %s", HyperFlow)
+		}
+	}
+	return rep, nil
+}
+
+// checkTail requires FaaSFlow-FaaStore's p99 to be no worse than
+// HyperFlow's at every measured (benchmark, bandwidth, rate) point.
+func checkTail(fig string, rows []tailRow) error {
+	type point struct {
+		bench    string
+		bw, rate float64
+	}
+	hyper := map[point]time.Duration{}
+	for _, r := range rows {
+		if r.Sys == HyperFlow {
+			hyper[point{r.Bench, r.StorageMB, r.PerMinute}] = r.P99
+		}
+	}
+	for _, r := range rows {
+		if h := hyper[point{r.Bench, r.StorageMB, r.PerMinute}]; r.Sys == FaaSFlowFaaStore && r.P99 > h {
+			return fmt.Errorf("%s %s @%.0fMB/s %.0f/min: %s p99 %s exceeds %s's %s",
+				fig, r.Bench, r.StorageMB, r.PerMinute, r.Sys, metrics.Seconds(r.P99), HyperFlow, metrics.Seconds(h))
+		}
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Figure 14: co-location interference.
 
-// CoLocationRow compares a benchmark's solo and co-run latencies.
-type CoLocationRow struct {
+// coLocationRow compares a benchmark's solo and co-run latencies.
+type coLocationRow struct {
 	Bench string
 	Sys   System
 	Solo  time.Duration
@@ -274,18 +432,18 @@ type CoLocationRow struct {
 }
 
 // Degradation reports (co-run − solo) / solo.
-func (r CoLocationRow) Degradation() float64 {
+func (r coLocationRow) Degradation() float64 {
 	if r.Solo == 0 {
 		return 0
 	}
 	return float64(r.CoRun-r.Solo) / float64(r.Solo)
 }
 
-// CoLocation reproduces Fig 14: each benchmark measured solo (fresh
+// coLocation reproduces Fig 14: each benchmark measured solo (fresh
 // cluster) and with all eight benchmarks co-running in one cluster, per
 // system.
-func CoLocation(systems []System, invocations int) ([]CoLocationRow, error) {
-	var rows []CoLocationRow
+func coLocation(systems []System, invocations int) ([]coLocationRow, error) {
+	var rows []coLocationRow
 	for _, sys := range systems {
 		solo := map[string]time.Duration{}
 		for _, bench := range workloads.All() {
@@ -309,7 +467,7 @@ func CoLocation(systems []System, invocations int) ([]CoLocationRow, error) {
 		}
 		recs := CoRun(tb.Env, engines, 1, invocations)
 		for i, name := range names {
-			rows = append(rows, CoLocationRow{
+			rows = append(rows, coLocationRow{
 				Bench: name,
 				Sys:   sys,
 				Solo:  solo[name],
@@ -320,26 +478,48 @@ func CoLocation(systems []System, invocations int) ([]CoLocationRow, error) {
 	return rows, nil
 }
 
+func fig14Report(n int) (Report, error) {
+	rows, err := coLocation(tailSystems, scaled(n, 10, 4))
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderCoLocation(rows), Notes: []string{
+		"paper degradations (HyperFlow): Cyc 50.3%, Gen 48.5%, Vid 84.4%, WC 66.2%; FaaSFlow-FaaStore greatly reduced",
+	}}
+	rep.addChart("fig14", chartCoLocation(rows))
+	hyper := map[string]float64{}
+	for _, r := range rows {
+		if r.Sys == HyperFlow {
+			hyper[r.Bench] = r.Degradation()
+		} else if r.Degradation() >= hyper[r.Bench] {
+			rep.Gate = fmt.Errorf("fig14 %s: %s degrades %s, not less than %s's %s",
+				r.Bench, r.Sys, metrics.Pct(r.Degradation()), HyperFlow, metrics.Pct(hyper[r.Bench]))
+			break
+		}
+	}
+	return rep, nil
+}
+
 // ---------------------------------------------------------------------------
 // Figure 15: grouping and scheduling distribution.
 
-// DistributionRow reports how one benchmark's task nodes spread over the
+// distributionRow reports how one benchmark's task nodes spread over the
 // workers when all eight benchmarks are scheduled into one cluster.
-type DistributionRow struct {
+type distributionRow struct {
 	Bench     string
 	Groups    int
 	PerWorker map[string]int // worker -> task-node count
 }
 
-// SchedulingDistribution reproduces Fig 15: schedule all benchmarks into a
+// schedulingDistribution reproduces Fig 15: schedule all benchmarks into a
 // shared cluster and report each one's node distribution. The experiment
 // runs at the co-location operating point, where runtime feedback reports
 // ~2 scaled container instances per function node (§4.1.2), so large
 // workflows split across workers while small apps stay whole.
-func SchedulingDistribution() ([]DistributionRow, error) {
+func schedulingDistribution() ([]distributionRow, error) {
 	tb := NewTestbed(ClusterSpec{FaaStore: true, ScaleLimit: 96})
 	tb.ScaleHint = 2
-	var rows []DistributionRow
+	var rows []distributionRow
 	for _, bench := range workloads.All() {
 		d, err := tb.deploySystem(FaaSFlowFaaStore, bench, engine.DataStore)
 		if err != nil {
@@ -349,7 +529,7 @@ func SchedulingDistribution() ([]DistributionRow, error) {
 		for _, n := range bench.Graph.Nodes() {
 			per[d.Placement.Worker[n.ID]]++
 		}
-		rows = append(rows, DistributionRow{
+		rows = append(rows, distributionRow{
 			Bench:     bench.Name,
 			Groups:    len(d.Placement.Groups),
 			PerWorker: per,
@@ -358,25 +538,49 @@ func SchedulingDistribution() ([]DistributionRow, error) {
 	return rows, nil
 }
 
+func fig15Report(int) (Report, error) {
+	rows, err := schedulingDistribution()
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderDistribution(rows, []string{"w0", "w1", "w2", "w3", "w4", "w5", "w6"}), Notes: []string{
+		"paper: 50-node scientific workflows spread across the 7 workers; ~10-node apps land on one worker",
+	}}
+	for _, r := range rows {
+		nodes, workers := 0, 0
+		for _, c := range r.PerWorker {
+			if c > 0 {
+				nodes += c
+				workers++
+			}
+		}
+		if (nodes == 50 && workers < 2) || ((r.Bench == "Vid" || r.Bench == "WC") && workers != 1) {
+			rep.Gate = fmt.Errorf("fig15 %s: %d nodes span %d workers", r.Bench, nodes, workers)
+			break
+		}
+	}
+	return rep, nil
+}
+
 // ---------------------------------------------------------------------------
 // Figure 16: graph scheduler scalability.
 
-// SchedulerCostRow measures one Schedule() call's real cost.
-type SchedulerCostRow struct {
+// schedulerCostRow measures one Schedule() call's real cost.
+type schedulerCostRow struct {
 	Nodes      int
 	WallTime   time.Duration
 	AllocBytes uint64
 	Groups     int
 }
 
-// SchedulerScalability reproduces Fig 16: run the Graph Scheduler on
+// schedulerScalability reproduces Fig 16: run the Graph Scheduler on
 // Genome instances of growing size and record real CPU time and memory.
 // repeats > 1 reports the per-call average.
-func SchedulerScalability(sizes []int, repeats int) ([]SchedulerCostRow, error) {
+func schedulerScalability(sizes []int, repeats int) ([]schedulerCostRow, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	var rows []SchedulerCostRow
+	var rows []schedulerCostRow
 	for _, n := range sizes {
 		bench := workloads.Genome(n)
 		in := scheduler.Input{
@@ -403,7 +607,7 @@ func SchedulerScalability(sizes []int, repeats int) ([]SchedulerCostRow, error) 
 		}
 		wall := time.Since(start) / time.Duration(repeats)
 		runtime.ReadMemStats(&ms1)
-		rows = append(rows, SchedulerCostRow{
+		rows = append(rows, schedulerCostRow{
 			Nodes:      n,
 			WallTime:   wall,
 			AllocBytes: (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(repeats),
@@ -413,11 +617,24 @@ func SchedulerScalability(sizes []int, repeats int) ([]SchedulerCostRow, error) 
 	return rows, nil
 }
 
+// fig16Report has no gate: its columns are host measurements.
+func fig16Report(int) (Report, error) {
+	rows, err := schedulerScalability([]int{10, 25, 50, 100, 200}, 5)
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderSchedulerCost(rows), Notes: []string{
+		"paper: cost grows ~O(n^2); fine for workflows under 50 nodes",
+	}}
+	rep.addChart("fig16", chartSchedulerCost(rows))
+	return rep, nil
+}
+
 // ---------------------------------------------------------------------------
 // §5.7: engine component overhead.
 
-// EngineOverheadRow reports per-engine resource use for one cluster size.
-type EngineOverheadRow struct {
+// engineOverheadRow reports per-engine resource use for one cluster size.
+type engineOverheadRow struct {
 	Workers        int
 	Invocations    int
 	MasterBusyFrac float64 // master engine busy time / elapsed
@@ -426,10 +643,10 @@ type EngineOverheadRow struct {
 	EngineMemMB    float64 // mean worker engine resident memory estimate
 }
 
-// EngineOverhead reproduces the §5.7 study: run a benchmark closed-loop on
+// engineOverhead reproduces the §5.7 study: run a benchmark closed-loop on
 // clusters of increasing size and report engine-loop resource use.
-func EngineOverhead(workerCounts []int, invocations int) ([]EngineOverheadRow, error) {
-	var rows []EngineOverheadRow
+func engineOverhead(workerCounts []int, invocations int) ([]engineOverheadRow, error) {
+	var rows []engineOverheadRow
 	bench := workloads.WordCount()
 	for _, w := range workerCounts {
 		tb := NewTestbed(ClusterSpec{Workers: w, FaaStore: true})
@@ -455,7 +672,7 @@ func EngineOverhead(workerCounts []int, invocations int) ([]EngineOverheadRow, e
 		for _, id := range tb.Workers {
 			memSum += float64(d.Engine.EngineMemory(id))
 		}
-		rows = append(rows, EngineOverheadRow{
+		rows = append(rows, engineOverheadRow{
 			Workers:        w,
 			Invocations:    invocations,
 			MasterBusyFrac: ms.Busy.Seconds() / elapsed.Seconds(),
@@ -467,11 +684,29 @@ func EngineOverhead(workerCounts []int, invocations int) ([]EngineOverheadRow, e
 	return rows, nil
 }
 
+func sec57Report(n int) (Report, error) {
+	rows, err := engineOverhead([]int{1, 2, 4, 7, 10, 20, 50, 100}, scaled(n, 10, 5))
+	if err != nil {
+		return Report{}, err
+	}
+	rep := Report{Table: renderEngineOverhead(rows), Notes: []string{
+		"paper: engine uses ~0.12 core / 47MB per worker; resource use scales linearly with cluster size",
+	}}
+	for _, r := range rows {
+		if r.EventsPerInv != rows[0].EventsPerInv {
+			rep.Gate = fmt.Errorf("sec57: %.1f events/inv on %d workers, %.1f on %d",
+				r.EventsPerInv, r.Workers, rows[0].EventsPerInv, rows[0].Workers)
+			break
+		}
+	}
+	return rep, nil
+}
+
 // ---------------------------------------------------------------------------
 // Rendering helpers.
 
-// RenderOverhead builds the Fig 4/11 table.
-func RenderOverhead(rows []OverheadRow, systems []System) *metrics.Table {
+// renderOverhead builds the Fig 4/11 table.
+func renderOverhead(rows []overheadRow, systems []System) *metrics.Table {
 	header := []string{"bench"}
 	for _, s := range systems {
 		header = append(header, s.String()+" overhead", s.String()+" e2e")
@@ -487,18 +722,18 @@ func RenderOverhead(rows []OverheadRow, systems []System) *metrics.Table {
 	return t
 }
 
-// RenderMovement builds the Fig 5 table.
-func RenderMovement(rows []MovementRow) *metrics.Table {
+// renderMovement builds the Fig 5 table.
+func renderMovement(rows []movementRow) *metrics.Table {
 	t := metrics.NewTable("bench", "monolithic", "FaaS", "amplification")
 	for _, r := range rows {
 		t.AddRow(r.Bench, metrics.MBytes(r.Monolithic), metrics.MBytes(r.FaaS),
-			fmt.Sprintf("%.1fx", float64(r.FaaS)/float64(r.Monolithic)))
+			fmt.Sprintf("%.1fx", r.amplification()))
 	}
 	return t
 }
 
-// RenderTransfer builds the Table 4 table.
-func RenderTransfer(rows []TransferRow) *metrics.Table {
+// renderTransfer builds the Table 4 table.
+func renderTransfer(rows []transferRow) *metrics.Table {
 	t := metrics.NewTable("bench", "HyperFlow-serverless", "FaaSFlow-FaaStore", "reduced")
 	for _, r := range rows {
 		t.AddRow(r.Bench, metrics.Seconds(r.HyperFlow), metrics.Seconds(r.FaaStore),
@@ -507,8 +742,8 @@ func RenderTransfer(rows []TransferRow) *metrics.Table {
 	return t
 }
 
-// RenderTail builds the Fig 12/13 table.
-func RenderTail(rows []TailRow) *metrics.Table {
+// renderTail builds the Fig 12/13 table.
+func renderTail(rows []tailRow) *metrics.Table {
 	t := metrics.NewTable("bench", "system", "storage", "rate/min", "p99", "timeouts")
 	for _, r := range rows {
 		t.AddRow(r.Bench, r.Sys.String(), fmt.Sprintf("%.0fMB/s", r.StorageMB),
@@ -517,8 +752,8 @@ func RenderTail(rows []TailRow) *metrics.Table {
 	return t
 }
 
-// RenderCoLocation builds the Fig 14 table.
-func RenderCoLocation(rows []CoLocationRow) *metrics.Table {
+// renderCoLocation builds the Fig 14 table.
+func renderCoLocation(rows []coLocationRow) *metrics.Table {
 	t := metrics.NewTable("bench", "system", "solo", "co-run", "degradation")
 	for _, r := range rows {
 		t.AddRow(r.Bench, r.Sys.String(), metrics.Seconds(r.Solo), metrics.Seconds(r.CoRun),
@@ -527,8 +762,8 @@ func RenderCoLocation(rows []CoLocationRow) *metrics.Table {
 	return t
 }
 
-// RenderDistribution builds the Fig 15 table.
-func RenderDistribution(rows []DistributionRow, workers []string) *metrics.Table {
+// renderDistribution builds the Fig 15 table.
+func renderDistribution(rows []distributionRow, workers []string) *metrics.Table {
 	header := append([]string{"bench", "groups"}, workers...)
 	t := metrics.NewTable(header...)
 	for _, r := range rows {
@@ -541,8 +776,8 @@ func RenderDistribution(rows []DistributionRow, workers []string) *metrics.Table
 	return t
 }
 
-// RenderSchedulerCost builds the Fig 16 table.
-func RenderSchedulerCost(rows []SchedulerCostRow) *metrics.Table {
+// renderSchedulerCost builds the Fig 16 table.
+func renderSchedulerCost(rows []schedulerCostRow) *metrics.Table {
 	t := metrics.NewTable("nodes", "wall time", "alloc", "groups")
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%d", r.Nodes), fmt.Sprintf("%.3fms", float64(r.WallTime)/1e6),
@@ -551,8 +786,8 @@ func RenderSchedulerCost(rows []SchedulerCostRow) *metrics.Table {
 	return t
 }
 
-// RenderEngineOverhead builds the §5.7 table.
-func RenderEngineOverhead(rows []EngineOverheadRow) *metrics.Table {
+// renderEngineOverhead builds the §5.7 table.
+func renderEngineOverhead(rows []engineOverheadRow) *metrics.Table {
 	t := metrics.NewTable("workers", "master busy", "worker busy", "events/inv", "engine mem")
 	for _, r := range rows {
 		t.AddRow(fmt.Sprintf("%d", r.Workers), metrics.Pct(r.MasterBusyFrac),

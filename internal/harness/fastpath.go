@@ -62,7 +62,7 @@ type fastPathRow struct {
 	snapshot    *obs.Snapshot
 }
 
-func fastPathReport() (Report, error) {
+func fastPathReport(int) (Report, error) {
 	rows, err := sweep(fastPathVariants, fastPathOne)
 	if err != nil {
 		return Report{}, err

@@ -74,7 +74,7 @@ type federationRow struct {
 	snapshot   *obs.Snapshot
 }
 
-func federationReport() (Report, error) {
+func federationReport(int) (Report, error) {
 	rows, err := sweep(fedScenarios, func(mode engine.Mode, scenario string) (federationRow, error) {
 		return federationOne(mode, scenario, fedSize, 0)
 	})

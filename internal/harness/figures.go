@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/viz"
@@ -10,8 +11,8 @@ import (
 // This file converts experiment rows into viz charts so the CLI can emit
 // SVG figures alongside the tables — the reproduction's draw.sh.
 
-// ChartOverhead builds the Fig 4/11 grouped bar chart (overhead in ms).
-func ChartOverhead(rows []OverheadRow, systems []System) *viz.BarChart {
+// chartOverhead builds the Fig 4/11 grouped bar chart (overhead in ms).
+func chartOverhead(rows []overheadRow, systems []System) *viz.BarChart {
 	c := &viz.BarChart{Title: "Scheduling overhead", YLabel: "overhead (ms)"}
 	for _, r := range rows {
 		c.Categories = append(c.Categories, r.Bench)
@@ -26,8 +27,8 @@ func ChartOverhead(rows []OverheadRow, systems []System) *viz.BarChart {
 	return c
 }
 
-// ChartMovement builds the Fig 5 log-scale bar chart (MB moved).
-func ChartMovement(rows []MovementRow) *viz.BarChart {
+// chartMovement builds the Fig 5 log-scale bar chart (MB moved).
+func chartMovement(rows []movementRow) *viz.BarChart {
 	c := &viz.BarChart{
 		Title:    "Data movement per invocation",
 		YLabel:   "MB (log scale)",
@@ -44,9 +45,9 @@ func ChartMovement(rows []MovementRow) *viz.BarChart {
 	return c
 }
 
-// ChartTransfer builds the Table 4 bar chart (seconds, log scale — Cyc is
+// chartTransfer builds the Table 4 bar chart (seconds, log scale — Cyc is
 // two orders of magnitude above IR).
-func ChartTransfer(rows []TransferRow) *viz.BarChart {
+func chartTransfer(rows []transferRow) *viz.BarChart {
 	c := &viz.BarChart{
 		Title:    "Total data-movement latency per invocation",
 		YLabel:   "seconds (log scale)",
@@ -63,43 +64,45 @@ func ChartTransfer(rows []TransferRow) *viz.BarChart {
 	return c
 }
 
-// ChartTail builds the Fig 13 bar chart from single-(bandwidth, rate)
+// chartTail builds the Fig 13 bar chart from single-(bandwidth, rate)
 // rows: p99 per benchmark per system.
-func ChartTail(rows []TailRow) *viz.BarChart {
+func chartTail(rows []tailRow) *viz.BarChart {
 	c := &viz.BarChart{Title: "p99 end-to-end latency", YLabel: "p99 (s)"}
-	perSys := map[System]map[string]time.Duration{}
-	var order []string
-	seen := map[string]bool{}
-	var systems []System
-	seenSys := map[System]bool{}
-	for _, r := range rows {
-		if !seen[r.Bench] {
-			seen[r.Bench] = true
-			order = append(order, r.Bench)
-		}
-		if !seenSys[r.Sys] {
-			seenSys[r.Sys] = true
-			systems = append(systems, r.Sys)
-		}
-		if perSys[r.Sys] == nil {
-			perSys[r.Sys] = map[string]time.Duration{}
-		}
-		perSys[r.Sys][r.Bench] = r.P99
-	}
-	c.Categories = order
-	for _, sys := range systems {
-		s := viz.Series{Name: sys.String()}
-		for _, b := range order {
-			s.Values = append(s.Values, perSys[sys][b].Seconds())
-		}
-		c.Series = append(c.Series, s)
-	}
+	groupBars(c, len(rows), func(i int) (string, System, float64) {
+		return rows[i].Bench, rows[i].Sys, rows[i].P99.Seconds()
+	})
 	return c
 }
 
-// ChartBandwidthSweep builds one Fig 12 panel: p99 vs storage bandwidth
+// groupBars fills c with one category per benchmark and one series per
+// system, both in first-seen order, from n (benchmark, system, value)
+// rows.
+func groupBars(c *viz.BarChart, n int, row func(i int) (bench string, sys System, v float64)) {
+	values := map[System]map[string]float64{}
+	var systems []System
+	for i := 0; i < n; i++ {
+		bench, sys, v := row(i)
+		if !slices.Contains(c.Categories, bench) {
+			c.Categories = append(c.Categories, bench)
+		}
+		if values[sys] == nil {
+			values[sys] = map[string]float64{}
+			systems = append(systems, sys)
+		}
+		values[sys][bench] = v
+	}
+	for _, sys := range systems {
+		s := viz.Series{Name: sys.String()}
+		for _, b := range c.Categories {
+			s.Values = append(s.Values, values[sys][b])
+		}
+		c.Series = append(c.Series, s)
+	}
+}
+
+// chartBandwidthSweep builds one Fig 12 panel: p99 vs storage bandwidth
 // for a single benchmark and arrival rate, one line per system.
-func ChartBandwidthSweep(rows []TailRow, bench string, rate float64) *viz.LineChart {
+func chartBandwidthSweep(rows []tailRow, bench string, rate float64) *viz.LineChart {
 	c := &viz.LineChart{
 		Title:  fmt.Sprintf("%s: p99 vs storage bandwidth (%.0f inv/min)", bench, rate),
 		XLabel: "storage bandwidth (MB/s)",
@@ -125,41 +128,17 @@ func ChartBandwidthSweep(rows []TailRow, bench string, rate float64) *viz.LineCh
 	return c
 }
 
-// ChartCoLocation builds the Fig 14 bar chart (degradation %).
-func ChartCoLocation(rows []CoLocationRow) *viz.BarChart {
+// chartCoLocation builds the Fig 14 bar chart (degradation %).
+func chartCoLocation(rows []coLocationRow) *viz.BarChart {
 	c := &viz.BarChart{Title: "Co-location degradation", YLabel: "degradation (%)"}
-	perSys := map[System]map[string]float64{}
-	var order []string
-	seen := map[string]bool{}
-	var systems []System
-	seenSys := map[System]bool{}
-	for _, r := range rows {
-		if !seen[r.Bench] {
-			seen[r.Bench] = true
-			order = append(order, r.Bench)
-		}
-		if !seenSys[r.Sys] {
-			seenSys[r.Sys] = true
-			systems = append(systems, r.Sys)
-		}
-		if perSys[r.Sys] == nil {
-			perSys[r.Sys] = map[string]float64{}
-		}
-		perSys[r.Sys][r.Bench] = r.Degradation() * 100
-	}
-	c.Categories = order
-	for _, sys := range systems {
-		s := viz.Series{Name: sys.String()}
-		for _, b := range order {
-			s.Values = append(s.Values, perSys[sys][b])
-		}
-		c.Series = append(c.Series, s)
-	}
+	groupBars(c, len(rows), func(i int) (string, System, float64) {
+		return rows[i].Bench, rows[i].Sys, rows[i].Degradation() * 100
+	})
 	return c
 }
 
-// ChartSchedulerCost builds the Fig 16 line chart (ms and MB vs nodes).
-func ChartSchedulerCost(rows []SchedulerCostRow) *viz.LineChart {
+// chartSchedulerCost builds the Fig 16 line chart (ms and MB vs nodes).
+func chartSchedulerCost(rows []schedulerCostRow) *viz.LineChart {
 	c := &viz.LineChart{
 		Title:  "Graph Scheduler cost vs workflow size",
 		XLabel: "function nodes",

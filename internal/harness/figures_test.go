@@ -7,11 +7,11 @@ import (
 )
 
 func TestChartOverhead(t *testing.T) {
-	rows := []OverheadRow{
+	rows := []overheadRow{
 		{Bench: "Cyc", Overhead: map[System]time.Duration{HyperFlow: 800 * time.Millisecond, FaaSFlow: 200 * time.Millisecond}},
 		{Bench: "Vid", Overhead: map[System]time.Duration{HyperFlow: 160 * time.Millisecond, FaaSFlow: 40 * time.Millisecond}},
 	}
-	c := ChartOverhead(rows, []System{HyperFlow, FaaSFlow})
+	c := chartOverhead(rows, []System{HyperFlow, FaaSFlow})
 	svg, err := c.SVG()
 	if err != nil {
 		t.Fatal(err)
@@ -27,11 +27,11 @@ func TestChartOverhead(t *testing.T) {
 }
 
 func TestChartMovementLogScale(t *testing.T) {
-	rows := []MovementRow{
+	rows := []movementRow{
 		{Bench: "Cyc", Monolithic: 24_000_000, FaaS: 1_182_000_000},
 		{Bench: "Vid", Monolithic: 4_230_000, FaaS: 96_820_000},
 	}
-	c := ChartMovement(rows)
+	c := chartMovement(rows)
 	if !c.LogScale {
 		t.Fatal("Fig 5 chart must be log scale")
 	}
@@ -41,23 +41,23 @@ func TestChartMovementLogScale(t *testing.T) {
 }
 
 func TestChartTransfer(t *testing.T) {
-	rows := []TransferRow{
+	rows := []transferRow{
 		{Bench: "Cyc", HyperFlow: 103 * time.Second, FaaStore: 8 * time.Second},
 		{Bench: "IR", HyperFlow: 210 * time.Millisecond, FaaStore: 94 * time.Millisecond},
 	}
-	if _, err := ChartTransfer(rows).SVG(); err != nil {
+	if _, err := chartTransfer(rows).SVG(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestChartTailGroupsBySystem(t *testing.T) {
-	rows := []TailRow{
+	rows := []tailRow{
 		{Bench: "Cyc", Sys: HyperFlow, StorageMB: 50, PerMinute: 6, P99: 60 * time.Second},
 		{Bench: "Cyc", Sys: FaaSFlowFaaStore, StorageMB: 50, PerMinute: 6, P99: 17 * time.Second},
 		{Bench: "Vid", Sys: HyperFlow, StorageMB: 50, PerMinute: 6, P99: 5 * time.Second},
 		{Bench: "Vid", Sys: FaaSFlowFaaStore, StorageMB: 50, PerMinute: 6, P99: 4 * time.Second},
 	}
-	c := ChartTail(rows)
+	c := chartTail(rows)
 	if len(c.Categories) != 2 || len(c.Series) != 2 {
 		t.Fatalf("shape = %d categories, %d series", len(c.Categories), len(c.Series))
 	}
@@ -70,7 +70,7 @@ func TestChartTailGroupsBySystem(t *testing.T) {
 }
 
 func TestChartBandwidthSweepFilters(t *testing.T) {
-	rows := []TailRow{
+	rows := []tailRow{
 		{Bench: "Gen", Sys: HyperFlow, StorageMB: 25, PerMinute: 6, P99: 22 * time.Second},
 		{Bench: "Gen", Sys: HyperFlow, StorageMB: 100, PerMinute: 6, P99: 8 * time.Second},
 		{Bench: "Gen", Sys: FaaSFlowFaaStore, StorageMB: 25, PerMinute: 6, P99: 11 * time.Second},
@@ -79,7 +79,7 @@ func TestChartBandwidthSweepFilters(t *testing.T) {
 		{Bench: "Gen", Sys: HyperFlow, StorageMB: 25, PerMinute: 2, P99: 15 * time.Second},
 		{Bench: "Vid", Sys: HyperFlow, StorageMB: 25, PerMinute: 6, P99: 7 * time.Second},
 	}
-	c := ChartBandwidthSweep(rows, "Gen", 6)
+	c := chartBandwidthSweep(rows, "Gen", 6)
 	if len(c.Series) != 2 {
 		t.Fatalf("series = %d", len(c.Series))
 	}
@@ -94,11 +94,11 @@ func TestChartBandwidthSweepFilters(t *testing.T) {
 }
 
 func TestChartCoLocationPercent(t *testing.T) {
-	rows := []CoLocationRow{
+	rows := []coLocationRow{
 		{Bench: "Vid", Sys: HyperFlow, Solo: 4 * time.Second, CoRun: 8 * time.Second},
 		{Bench: "Vid", Sys: FaaSFlowFaaStore, Solo: 4 * time.Second, CoRun: 5 * time.Second},
 	}
-	c := ChartCoLocation(rows)
+	c := chartCoLocation(rows)
 	if c.Series[0].Values[0] != 100 {
 		t.Fatalf("degradation %% = %v, want 100", c.Series[0].Values[0])
 	}
@@ -111,11 +111,11 @@ func TestChartCoLocationPercent(t *testing.T) {
 }
 
 func TestChartSchedulerCost(t *testing.T) {
-	rows := []SchedulerCostRow{
+	rows := []schedulerCostRow{
 		{Nodes: 10, WallTime: 70 * time.Microsecond, AllocBytes: 30_000},
 		{Nodes: 200, WallTime: 9 * time.Millisecond, AllocBytes: 4_380_000},
 	}
-	c := ChartSchedulerCost(rows)
+	c := chartSchedulerCost(rows)
 	if len(c.Series) != 2 {
 		t.Fatalf("series = %d", len(c.Series))
 	}

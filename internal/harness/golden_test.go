@@ -21,7 +21,7 @@ func within(t *testing.T, name string, got, want, tol float64) {
 }
 
 func TestGoldenFig5Bytes(t *testing.T) {
-	rows, err := DataMovement()
+	rows, err := dataMovement()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,21 +35,21 @@ func TestGoldenFig5Bytes(t *testing.T) {
 }
 
 func TestGoldenFig11Averages(t *testing.T) {
-	rows, err := SchedulingOverhead([]System{HyperFlow, FaaSFlow}, 20)
+	rows, err := schedulingOverhead([]System{HyperFlow, FaaSFlow}, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hSci, hApp := OverheadAverages(rows, HyperFlow)
-	fSci, fApp := OverheadAverages(rows, FaaSFlow)
+	hSci, hApp := overheadAverages(rows, HyperFlow)
+	fSci, fApp := overheadAverages(rows, FaaSFlow)
 	within(t, "HyperFlow sci overhead (ms)", hSci.Seconds()*1000, 615, 0.10)
 	within(t, "HyperFlow app overhead (ms)", hApp.Seconds()*1000, 148, 0.10)
 	within(t, "FaaSFlow sci overhead (ms)", fSci.Seconds()*1000, 162, 0.10)
 	within(t, "FaaSFlow app overhead (ms)", fApp.Seconds()*1000, 42, 0.15)
-	within(t, "overhead reduction", OverheadReduction(rows, HyperFlow, FaaSFlow), 0.73, 0.07)
+	within(t, "overhead reduction", overheadReduction(rows, HyperFlow, FaaSFlow), 0.73, 0.07)
 }
 
 func TestGoldenTable4(t *testing.T) {
-	rows, err := TransferLatency(5)
+	rows, err := transferLatency(5)
 	if err != nil {
 		t.Fatal(err)
 	}

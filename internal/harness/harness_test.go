@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -77,6 +78,78 @@ func TestClosedLoopRecordsN(t *testing.T) {
 	}
 }
 
+// withinDeadline runs f and fails the test if it has not returned within
+// a few seconds, so a client that never stops fails fast instead of
+// hanging the suite.
+func withinDeadline(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		f()
+	}()
+	select {
+	case p := <-done:
+		if p != nil {
+			t.Fatalf("%s panicked: %v", what, p)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s did not return", what)
+	}
+}
+
+// TestClientsStopOnNegativeN: a negative count records nothing; it must
+// not loop forever (closed loops) or panic (open-loop arrivals).
+func TestClientsStopOnNegativeN(t *testing.T) {
+	tb := NewTestbed(ClusterSpec{})
+	d, err := tb.Deploy(workloads.WordCount(), engine.Options{Mode: engine.ModeWorkerSP, Data: engine.DataStore})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withinDeadline(t, "ClosedLoop(n=-1)", func() {
+		if rec := ClosedLoop(tb.Env, d.Engine, 1, -1); rec.Count() != 0 {
+			t.Errorf("ClosedLoop(n=-1) recorded %d", rec.Count())
+		}
+	})
+	withinDeadline(t, "CoRun(n=-1)", func() {
+		if recs := CoRun(tb.Env, []*engine.Deployment{d.Engine}, 0, -1); recs[0].Count() != 0 {
+			t.Errorf("CoRun(n=-1) recorded %d", recs[0].Count())
+		}
+	})
+	withinDeadline(t, "Arrivals(n=-5)", func() {
+		for _, poisson := range []bool{false, true} {
+			if got := Arrivals(6, -5, poisson, 1); len(got) != 0 {
+				t.Errorf("Arrivals(n=-5, poisson=%v) laid out %d arrivals", poisson, len(got))
+			}
+		}
+	})
+	withinDeadline(t, "OpenLoop(n=-5)", func() {
+		if rec := OpenLoop(tb.Env, d.Engine, 6, 0, -5); rec.Count() != 0 {
+			t.Errorf("OpenLoop(n=-5) recorded %d", rec.Count())
+		}
+	})
+}
+
+// TestFiguresFloorDerivedSizes: at n=1 every figure still measures at
+// least one invocation per point — Fig 12's n/4 used to reach zero and
+// print a p99 of 0.000s as a result.
+func TestFiguresFloorDerivedSizes(t *testing.T) {
+	r, err := fig12Report(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(r.Table.String(), " 0.000s ") {
+		t.Fatalf("fig12 at n=1 reports a zero p99:\n%s", r.Table)
+	}
+	for _, c := range []struct{ n, div, floor, want int }{
+		{1, 4, 1, 1}, {3, 4, 1, 1}, {100, 4, 1, 25}, {1, 20, 3, 3}, {1000, 20, 3, 50},
+	} {
+		if got := scaled(c.n, c.div, c.floor); got != c.want {
+			t.Errorf("scaled(%d, %d, %d) = %d, want %d", c.n, c.div, c.floor, got, c.want)
+		}
+	}
+}
+
 func TestOpenLoopClampsAtTimeout(t *testing.T) {
 	// Flood Cyc through the throttled HyperFlow data path: the queue grows
 	// and the recorder must clamp at 60 s.
@@ -149,7 +222,7 @@ func TestCoRunDrivesAllClients(t *testing.T) {
 }
 
 func TestSchedulingOverheadShape(t *testing.T) {
-	rows, err := SchedulingOverhead([]System{HyperFlow, FaaSFlow}, 10)
+	rows, err := schedulingOverhead([]System{HyperFlow, FaaSFlow}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +240,8 @@ func TestSchedulingOverheadShape(t *testing.T) {
 	}
 	// Paper: HyperFlow 712 ms (sci) / 181 ms (apps); FaaSFlow 141.9 / 51.4.
 	// Require the same order of magnitude and a large average reduction.
-	hSci, hApp := OverheadAverages(rows, HyperFlow)
-	fSci, fApp := OverheadAverages(rows, FaaSFlow)
+	hSci, hApp := overheadAverages(rows, HyperFlow)
+	fSci, fApp := overheadAverages(rows, FaaSFlow)
 	if hSci < 300*time.Millisecond || hSci > 1500*time.Millisecond {
 		t.Errorf("HyperFlow sci overhead = %v, want ~712ms", hSci)
 	}
@@ -185,11 +258,11 @@ func TestSchedulingOverheadShape(t *testing.T) {
 }
 
 func TestDataMovementShape(t *testing.T) {
-	rows, err := DataMovement()
+	rows, err := dataMovement()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byName := map[string]MovementRow{}
+	byName := map[string]movementRow{}
 	for _, r := range rows {
 		byName[r.Bench] = r
 		if r.FaaS <= r.Monolithic {
@@ -218,7 +291,7 @@ func TestDataMovementShape(t *testing.T) {
 }
 
 func TestTransferLatencyShape(t *testing.T) {
-	rows, err := TransferLatency(5)
+	rows, err := transferLatency(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +323,12 @@ func TestTransferLatencyShape(t *testing.T) {
 }
 
 func TestTailLatencyCycTimeoutShape(t *testing.T) {
-	rows, err := TailLatency([]string{"Cyc"}, []System{HyperFlow, FaaSFlowFaaStore},
+	rows, err := tailLatency([]string{"Cyc"}, []System{HyperFlow, FaaSFlowFaaStore},
 		[]float64{50}, []float64{6}, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hyper, faas TailRow
+	var hyper, faas tailRow
 	for _, r := range rows {
 		if r.Sys == HyperFlow {
 			hyper = r
@@ -274,7 +347,7 @@ func TestTailLatencyCycTimeoutShape(t *testing.T) {
 }
 
 func TestBandwidthSweepShape(t *testing.T) {
-	rows, err := TailLatency([]string{"Vid"}, []System{HyperFlow, FaaSFlowFaaStore},
+	rows, err := tailLatency([]string{"Vid"}, []System{HyperFlow, FaaSFlowFaaStore},
 		[]float64{25, 50, 75, 100}, []float64{6}, 30)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +379,7 @@ func TestBandwidthSweepShape(t *testing.T) {
 }
 
 func TestCoLocationShape(t *testing.T) {
-	rows, err := CoLocation([]System{HyperFlow, FaaSFlowFaaStore}, 6)
+	rows, err := coLocation([]System{HyperFlow, FaaSFlowFaaStore}, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +406,7 @@ func TestCoLocationShape(t *testing.T) {
 }
 
 func TestSchedulingDistributionShape(t *testing.T) {
-	rows, err := SchedulingDistribution()
+	rows, err := schedulingDistribution()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +446,7 @@ func TestSchedulingDistributionShape(t *testing.T) {
 }
 
 func TestSchedulerScalabilityShape(t *testing.T) {
-	rows, err := SchedulerScalability([]int{10, 50, 200}, 2)
+	rows, err := schedulerScalability([]int{10, 50, 200}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +465,7 @@ func TestSchedulerScalabilityShape(t *testing.T) {
 }
 
 func TestEngineOverheadShape(t *testing.T) {
-	rows, err := EngineOverhead([]int{1, 4, 16}, 10)
+	rows, err := engineOverhead([]int{1, 4, 16}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +509,7 @@ func TestFeedbackLoopRedeploys(t *testing.T) {
 }
 
 func TestColdStartStudyShape(t *testing.T) {
-	rows, err := ColdStartStudy("WC", []time.Duration{5 * time.Second, 600 * time.Second}, 2, 10)
+	rows, err := coldStartStudy("WC", []time.Duration{5 * time.Second, 600 * time.Second}, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,10 +528,10 @@ func TestColdStartStudyShape(t *testing.T) {
 	if short.MeanLatency <= long.MeanLatency {
 		t.Errorf("cold-start latency %v not above warm %v", short.MeanLatency, long.MeanLatency)
 	}
-	if _, err := ColdStartStudy("nope", []time.Duration{time.Second}, 1, 1); err == nil {
+	if _, err := coldStartStudy("nope", []time.Duration{time.Second}, 1, 1); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if s := RenderColdStart(rows).String(); len(s) == 0 {
+	if s := renderColdStart(rows).String(); len(s) == 0 {
 		t.Error("empty cold-start table")
 	}
 }
@@ -504,33 +577,33 @@ func TestEngineMemoryModel(t *testing.T) {
 }
 
 func TestTailLatencyUnknownBenchmark(t *testing.T) {
-	if _, err := TailLatency([]string{"nope"}, []System{HyperFlow}, []float64{50}, []float64{6}, 1); err == nil {
+	if _, err := tailLatency([]string{"nope"}, []System{HyperFlow}, []float64{50}, []float64{6}, 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
 
 func TestRenderersProduceTables(t *testing.T) {
-	ov, err := SchedulingOverhead([]System{FaaSFlow}, 2)
+	ov, err := schedulingOverhead([]System{FaaSFlow}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := RenderOverhead(ov, []System{FaaSFlow}).String(); len(s) == 0 {
+	if s := renderOverhead(ov, []System{FaaSFlow}).String(); len(s) == 0 {
 		t.Fatal("empty overhead table")
 	}
-	dist, err := SchedulingDistribution()
+	dist, err := schedulingDistribution()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := RenderDistribution(dist, []string{"w0"}).String(); len(s) == 0 {
+	if s := renderDistribution(dist, []string{"w0"}).String(); len(s) == 0 {
 		t.Fatal("empty distribution table")
 	}
-	if csv := RenderDistribution(dist, []string{"w0"}).CSV(); len(csv) == 0 {
+	if csv := renderDistribution(dist, []string{"w0"}).CSV(); len(csv) == 0 {
 		t.Fatal("empty distribution CSV")
 	}
 }
 
 func TestSequentialVsDAG(t *testing.T) {
-	dagMean, seqMean, err := SequentialVsDAG("Cyc", 3)
+	dagMean, seqMean, err := sequentialVsDAG("Cyc", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,26 +613,26 @@ func TestSequentialVsDAG(t *testing.T) {
 	if seqMean < 2*dagMean {
 		t.Fatalf("sequence mean %v not >> DAG mean %v", seqMean, dagMean)
 	}
-	if _, _, err := SequentialVsDAG("nope", 1); err == nil {
+	if _, _, err := sequentialVsDAG("nope", 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
 
 func TestAblationGroupingShape(t *testing.T) {
-	algo, hash, err := AblationGrouping("Vid", 5)
+	algo, hash, err := ablationGrouping("Vid", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if algo >= hash {
 		t.Fatalf("Algorithm 1 mean %v not below hash partition %v", algo, hash)
 	}
-	if _, _, err := AblationGrouping("nope", 1); err == nil {
+	if _, _, err := ablationGrouping("nope", 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
 
 func TestAblationNetworkShape(t *testing.T) {
-	shared, infinite, err := AblationNetwork("Cyc", 3)
+	shared, infinite, err := ablationNetwork("Cyc", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -568,13 +641,13 @@ func TestAblationNetworkShape(t *testing.T) {
 	if float64(shared) < 1.5*float64(infinite) {
 		t.Fatalf("shared %v not well above contention-free %v", shared, infinite)
 	}
-	if _, _, err := AblationNetwork("nope", 1); err == nil {
+	if _, _, err := ablationNetwork("nope", 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
 
 func TestAblationQuotaShape(t *testing.T) {
-	res, err := AblationQuota("Cyc", 3)
+	res, err := ablationQuota("Cyc", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +659,7 @@ func TestAblationQuotaShape(t *testing.T) {
 	if float64(res.Tiny) < 1.5*float64(res.Adaptive) {
 		t.Fatalf("tiny quota %v not well above adaptive %v", res.Tiny, res.Adaptive)
 	}
-	if _, err := AblationQuota("nope", 1); err == nil {
+	if _, err := ablationQuota("nope", 1); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }

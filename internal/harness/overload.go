@@ -54,7 +54,7 @@ type overloadRow struct {
 	snapshot *obs.Snapshot
 }
 
-func overloadReport() (Report, error) {
+func overloadReport(int) (Report, error) {
 	on, err := overload(true)
 	if err != nil {
 		return Report{}, err

@@ -11,27 +11,38 @@ import (
 	"repro/internal/store"
 )
 
-// This file is the scenario contract. Each fault, overload and feature
-// scenario is one Scenario entry with its sizes fixed: it runs under both
-// scheduling modes, renders one table, names its flight-recorder snapshots
-// and gates its own acceptance criteria. Every run is on the simulation
-// clock, so two runs of an entry produce byte-identical Reports; CI runs
-// the registry twice and diffs the snapshot directories.
+// This file is the experiment contract. Every paper figure, derived
+// claim, ablation and fault, overload and feature scenario is one Scenario
+// entry: it renders one table, names its charts and flight-recorder
+// snapshots and gates its own acceptance criteria — for a figure, the
+// shape claim EXPERIMENTS.md says it reproduces. Every run except Fig 16's
+// host-timed columns is on the simulation clock, so two runs of an entry
+// produce byte-identical Reports; CI runs the scenarios twice and diffs
+// the snapshot directories.
 
-// Scenario is one named, self-gating simulator run.
+// Scenario is one named, self-gating experiment. Run's n scales a
+// figure's invocation counts (the paper uses 1000); the fault, overload
+// and feature scenarios run at fixed sizes and ignore it.
 type Scenario struct {
 	Name  string
 	Title string
-	Run   func() (Report, error)
+	Run   func(n int) (Report, error)
 }
 
 // Report is the outcome of one Scenario run. Run returns an error only
 // when the scenario could not be set up; a run that completed but broke
 // an acceptance criterion says so in Gate.
 type Report struct {
+	// Table is the rendered result; nil for a notes-only report.
 	Table *metrics.Table
 	// Notes are summary lines that belong under the table.
 	Notes []string
+	// Charts are the report's figures, each under a file name (without
+	// extension) that is unique across all Scenarios.
+	Charts []struct {
+		Name  string
+		Chart chart
+	}
 	// Snapshots are the run's flight recorders in run order, each under a
 	// file name that is unique across all Scenarios.
 	Snapshots []struct {
@@ -39,6 +50,17 @@ type Report struct {
 		Snapshot *obs.Snapshot
 	}
 	Gate error
+}
+
+// chart is what viz.BarChart and viz.LineChart have in common.
+type chart = interface{ SVG() (string, error) }
+
+// addChart appends c under the file name name.
+func (r *Report) addChart(name string, c chart) {
+	r.Charts = append(r.Charts, struct {
+		Name  string
+		Chart chart
+	}{name, c})
 }
 
 // addSnapshot appends s under the file name <name>.json.
@@ -49,8 +71,22 @@ func (r *Report) addSnapshot(name string, s *obs.Snapshot) {
 	}{name + ".json", s})
 }
 
-// Scenarios lists every scenario in run order.
+// Scenarios lists every experiment in run order: the paper's figures and
+// claims first, then the gated scenarios.
 var Scenarios = []Scenario{
+	{"fig4", "MasterSP scheduling overhead (HyperFlow-serverless)", fig4Report},
+	{"fig5", "data movement: monolithic vs FaaS", fig5Report},
+	{"fig11", "scheduling overhead: HyperFlow-serverless vs FaaSFlow", fig11Report},
+	{"table4", "total data-movement latency over all edges", table4Report},
+	{"fig12", "p99 vs bandwidth sweep for Gen and Vid", fig12Report},
+	{"fig13", "p99 e2e latency @50MB/s, 6 inv/min", fig13Report},
+	{"fig14", "co-location interference", fig14Report},
+	{"fig15", "grouping and scheduling distribution", fig15Report},
+	{"fig16", "graph scheduler scalability", fig16Report},
+	{"sec57", "workflow engine component overhead", sec57Report},
+	{"coldstart", "keep-alive vs cold-start trade-off (extension)", coldStartReport},
+	{"claims", "the paper's derived headline claims", claimsReport},
+	{"ablations", "design-choice ablations: grouping, network model, DAG, quota", ablationsReport},
 	{"chaos", "chaos availability: kill a worker mid-run, require zero lost invocations", chaosReport},
 	{"overload", "overload control: sweep arrival rate past saturation, require graceful degradation", overloadReport},
 	{"durable", "durable execution: engine crash replays the journal, node kill reads replicas", durableReport},

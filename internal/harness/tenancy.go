@@ -67,7 +67,7 @@ type tenancyRow struct {
 	snapshot   *obs.Snapshot
 }
 
-func tenancyReport() (Report, error) {
+func tenancyReport(int) (Report, error) {
 	rows, err := tenancy()
 	if err != nil {
 		return Report{}, err
